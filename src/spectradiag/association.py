@@ -281,7 +281,9 @@ def tetrachoric(table) -> float:
     if objective(hi) < 0.0:
         return _RHO_CLAMP
     rho = brentq(objective, lo, hi, xtol=1e-10)
-    assert abs(objective(rho)) < 1e-6
+    residual = objective(rho)
+    if abs(residual) >= 1e-6:
+        raise ValueError(f"tetrachoric root misses the joint pass rate by {residual:.2e}")
     return float(rho)
 
 

@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,8 +45,6 @@ from .spectral import CENTERING_SCHEMES
 from .synthetic import LOADING_ORIENTATIONS, IrtSpec, gen_irt_matrix
 from .temporal import mann_kendall, saturation_fit, temporal_information_density
 
-THREADS_ENV_VAR = "SPECTRADIAG_THREADS"
-
 __all__ = ["main"]
 
 
@@ -76,16 +73,6 @@ def _envelope(command: str, seed: int | None, inputs: dict, result: dict) -> dic
         "inputs": inputs,
         "result": result,
     }
-
-
-def _resolve_threads(value: int | None) -> int:
-    # caps worker counts; all operations are worker-count independent by
-    # construction (per-replicate substreams), so this never changes results
-    if value is None:
-        value = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    if value < 1:
-        raise MatrixValidationError("--threads must be a positive integer")
-    return value
 
 
 def _load_preprocessed(args) -> tuple:
@@ -355,7 +342,8 @@ def _workflow_step3(series_path, thresholds):
 def _workflow_step4(s, candidates, thresholds):
     from scipy.stats import rankdata
 
-    shared = [m for m in candidates.model_ids if m in set(s.model_ids)]
+    suite_models = set(s.model_ids)
+    shared = [m for m in candidates.model_ids if m in suite_models]
     if len(shared) < 3:
         raise MatrixValidationError(
             "candidates share fewer than three models with the suite"
@@ -450,12 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="also write the JSON report to this file")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=f"worker cap (or env {THREADS_ENV_VAR}); never affects results",
-        )
 
     def matrix_args(p):
         p.add_argument("--matrix", required=True, help="score matrix file")
@@ -556,7 +538,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args.threads)
         return args.func(args)
     except (MatrixValidationError, OSError, json.JSONDecodeError) as exc:
         _note(f"input error: {exc}")

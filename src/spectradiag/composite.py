@@ -174,7 +174,8 @@ def _champion(model_ids, scores: np.ndarray) -> str:
 
 def kendall_tau(rank_a, rank_b) -> float:
     """Tie-corrected rank agreement between two orderings over shared ids."""
-    shared = [i for i in rank_a if i in set(rank_b)]
+    in_b = set(rank_b)
+    shared = [i for i in rank_a if i in in_b]
     if len(shared) < 2:
         raise ValueError("need at least two shared ids")
     pos_a = {m: i for i, m in enumerate(rank_a)}
@@ -318,8 +319,3 @@ def information_density(ed: float, k: int) -> float:
         raise ValueError("suite size must be positive")
     return ed / k
 
-
-def subset_composite_ranking(s: SuiteScores, benchmark_ids) -> list[str]:
-    """Equal-weight composite ranking restricted to the given benchmarks."""
-    sub = s.subset_benchmarks(tuple(benchmark_ids))
-    return composite_ranking(sub, np.ones(sub.n_benchmarks))

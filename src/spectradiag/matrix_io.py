@@ -230,6 +230,7 @@ def _load_csv(path) -> ScoreMatrix:
             raise MatrixValidationError(f"{path}: header needs at least two model columns")
         model_ids = [h.strip() for h in header[1:]]
         task_ids: list[str] = []
+        linenos: list[int] = []
         rows: list[list[float]] = []
         mask: list[list[bool]] = []
         for lineno, row in enumerate(reader, start=2):
@@ -257,11 +258,20 @@ def _load_csv(path) -> ScoreMatrix:
                     ) from None
                 miss.append(False)
             task_ids.append(task_id)
+            linenos.append(lineno)
             rows.append(vals)
             mask.append(miss)
     if not rows:
         raise MatrixValidationError(f"{path}: no task rows")
-    return score_matrix(task_ids, model_ids, np.array(rows), np.array(mask))
+    values, missing = np.array(rows), np.array(mask)
+    bad = np.argwhere(~(np.isfinite(values) | missing))
+    if bad.size:
+        r, c = bad[0]
+        raise MatrixValidationError(
+            f"{path}:{linenos[r]}: non-finite cell {float(values[r, c])!r} for task "
+            f"{task_ids[r]!r}, model {model_ids[c]!r}"
+        )
+    return score_matrix(task_ids, model_ids, values, missing)
 
 
 def _load_json(path) -> ScoreMatrix:
@@ -275,10 +285,18 @@ def _load_json(path) -> ScoreMatrix:
         raise MatrixValidationError(
             f"{path}: expected keys task_ids, model_ids, values"
         ) from None
-    values = np.array(
-        [[np.nan if c is None else float(c) for c in row] for row in raw], dtype=float
-    )
-    return score_matrix(task_ids, model_ids, values)
+    try:
+        cells = np.array(raw, dtype=object)
+        missing = np.equal(cells, None)
+        values = np.where(missing, np.nan, cells).astype(float)
+    except (TypeError, ValueError):
+        raise MatrixValidationError(
+            f"{path}: values must be a rectangular grid of numbers and nulls"
+        ) from None
+    bad = np.argwhere(~(np.isfinite(values) | missing))
+    if bad.size:
+        raise MatrixValidationError(f"{path}: non-finite cell at values index {bad[0].tolist()}")
+    return score_matrix(task_ids, model_ids, values, missing)
 
 
 def save_matrix(m: ScoreMatrix, path, format: str = "csv") -> None:

@@ -2,8 +2,9 @@
 
 The greedy selector adds, at each step, the task with the largest marginal
 increase in the centered-submatrix ED. Candidate EDs come from incremental
-trace/Frobenius updates of the task-side Gram matrix; tests pin them against
-full SVD recomputation.
+trace/Frobenius updates of the task-side Gram matrix, one Gram column per
+added task, so no T x T matrix is formed; tests pin them against full SVD
+recomputation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_io import ScoreMatrix
-from .spectral import center, ed_of_matrix
+from .spectral import center
 
 SELECTION_METHODS = (
     "ed_greedy",
@@ -75,38 +76,39 @@ class _GramEvaluator:
     """Incremental participation-ratio bookkeeping over a fixed task pool.
 
     For a selected index set S the centered-submatrix ED equals
-    tr(G_S)^2 / ||G_S||_F^2 where G is the Gram matrix of the task-centered
-    rows; adding one row updates both sums in O(|S|+ T).
+    tr(G_S)^2 / ||G_S||_F^2, where G = Xc Xc^T is the Gram matrix of the
+    task-centered rows Xc. The full T x T matrix is never formed: the
+    diagonal is kept as row norms, and adding task t computes the single
+    column Xc x_t to update ``cross[j] = sum_{s in S} G[j, s]^2`` for every
+    task j. Each addition costs O(T * N) time; memory beyond Xc is O(T).
     """
 
     def __init__(self, values: np.ndarray):
-        centered = center(values, "task")
-        self.gram = centered @ centered.T
-        self.diag = np.diag(self.gram).copy()
+        self.xc = center(values, "task")
+        self.diag = np.einsum("ij,ij->i", self.xc, self.xc)
         self.trace = 0.0
         self.fro2 = 0.0
         self.cross = np.zeros(values.shape[0])
-        self.selected: list[int] = []
 
-    def candidate_ed(self, t: int) -> float:
-        ntr = self.trace + self.diag[t]
-        nfro = self.fro2 + 2.0 * self.cross[t] + self.diag[t] * self.diag[t]
-        if nfro <= 0.0:
-            return 0.0
-        return ntr * ntr / nfro
+    @property
+    def current_ed(self) -> float:
+        """ED of the tasks selected so far (0 while the selection is flat)."""
+        return self.trace * self.trace / self.fro2 if self.fro2 > 0.0 else 0.0
+
+    def candidate_ed(self, idx):
+        """ED after adding task ``idx``; an index array gives one ED per entry."""
+        d = self.diag[idx]
+        ntr = self.trace + d
+        nfro = self.fro2 + 2.0 * self.cross[idx] + d * d
+        live = nfro > 0.0
+        return np.where(live, ntr * ntr / np.where(live, nfro, 1.0), 0.0)
 
     def add(self, t: int) -> float:
-        ed = self.candidate_ed(t)
+        ed = float(self.candidate_ed(t))
         self.trace += self.diag[t]
         self.fro2 += 2.0 * self.cross[t] + self.diag[t] * self.diag[t]
-        self.cross += self.gram[:, t] ** 2
-        self.selected.append(t)
+        self.cross += (self.xc @ self.xc[t]) ** 2
         return ed
-
-    @staticmethod
-    def subset_ed_reference(values: np.ndarray, rows) -> float:
-        """From-scratch oracle used by the tests: SVD of the centered submatrix."""
-        return ed_of_matrix(values[list(rows)], scheme="task")
 
 
 def _task_variances(values: np.ndarray) -> np.ndarray:
@@ -146,29 +148,16 @@ def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
     if np.all(variances == 0.0):
         raise ValueError("all tasks are degenerate (zero variance)")
     ev = _GramEvaluator(values)
-    remaining = list(range(n_tasks))
+    id_rank = np.argsort(np.argsort(m.task_ids))
+    remaining = np.arange(n_tasks)
     order: list[int] = []
     trajectory: list[float] = []
     for _ in range(k):
-        best_t = None
-        best_key: tuple[float, float, str] | None = None
-        for t in remaining:
-            ed = ev.candidate_ed(t)
-            if best_t is None:
-                better = True
-            else:
-                better = ed > best_key[0] or (
-                    ed == best_key[0]
-                    and (
-                        variances[t] > best_key[1]
-                        or (variances[t] == best_key[1] and m.task_ids[t] < best_key[2])
-                    )
-                )
-            if better:
-                best_t = t
-                best_key = (ed, variances[t], m.task_ids[t])
+        eds = ev.candidate_ed(remaining)
+        pos = np.lexsort((id_rank[remaining], -variances[remaining], -eds))[0]
+        best_t = int(remaining[pos])
         trajectory.append(ev.add(best_t))
-        remaining.remove(best_t)
+        remaining = np.delete(remaining, pos)
         order.append(best_t)
     selected = tuple(m.task_ids[t] for t in order)
     return SelectionResult(
@@ -378,14 +367,10 @@ def submodularity_probe(
         ev = _GramEvaluator(values)
         for idx in s_small:
             ev.add(idx)
-        ed_small = ev.candidate_ed(t) if small else 0.0
-        gain_small = ed_small - (
-            ev.trace * ev.trace / ev.fro2 if ev.fro2 > 0.0 else 0.0
-        )
+        gain_small = float(ev.candidate_ed(t)) - ev.current_ed
         for idx in s_big[small:]:
             ev.add(idx)
-        ed_big = ev.candidate_ed(t)
-        gain_big = ed_big - (ev.trace * ev.trace / ev.fro2 if ev.fro2 > 0.0 else 0.0)
+        gain_big = float(ev.candidate_ed(t)) - ev.current_ed
         if gain_small < 0.0:
             negative += 1
             continue

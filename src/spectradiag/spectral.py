@@ -3,7 +3,10 @@
 The core quantity is the participation ratio of the squared singular
 spectrum of a centered score grid: a closed-form count of effectively
 participating components. The collision-entropy route and the Shannon
-effective rank are provided alongside for cross-checks.
+effective rank are provided alongside for cross-checks. One kernel, the
+smaller-side Gram matrix G of the centered grid, serves them all: ED is
+tr(G)^2 / ||G||_F^2 and spectra are sqrt(eigvalsh(G)). Only
+:func:`principal_components`, which needs singular vectors, runs an SVD.
 """
 
 from __future__ import annotations
@@ -16,13 +19,10 @@ from .matrix_io import ScoreMatrix
 
 CENTERING_SCHEMES = ("task", "model", "double", "none")
 
-# Centering leaves one near-null direction; singular values this far below
-# the top one are counted as zero.
-ZERO_SIGMA_RTOL = 1e-10
-
-# Past this element count the dense SVD path is replaced by eigenvalues of the
-# smaller-side Gram matrix (identical spectrum, much less memory traffic).
-GRAM_ELEMENT_CUTOFF = 5_000_000
+# Centering leaves one near-null direction, which the Gram kernel reports near
+# 1e-7 x the top singular value (eigenvalue rounding of order eps x top**2);
+# singular values this far below the top one are counted as zero.
+ZERO_SIGMA_RTOL = 1e-6
 
 __all__ = [
     "CENTERING_SCHEMES",
@@ -102,21 +102,24 @@ def center(m, scheme: str = "task") -> np.ndarray:
     raise ValueError(f"unknown centering scheme: {scheme!r} (use one of {CENTERING_SCHEMES})")
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """Gram matrix of ``x`` on its smaller side: min(T, N) square."""
+    return x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
+
+
 def singular_spectrum(x) -> Spectrum:
-    """Singular values of a real matrix, largest first."""
+    """Singular values of a real matrix, largest first, from its Gram matrix.
+
+    Values below about 1e-7 x the top one (such as the null direction that
+    centering leaves) are accurate only in absolute terms.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix entries must be finite")
-    t, n = x.shape
-    if t * n > GRAM_ELEMENT_CUTOFF:
-        gram = x @ x.T if t <= n else x.T @ x
-        eig = np.linalg.eigvalsh(gram)[::-1]
-        sig = np.sqrt(np.clip(eig, 0.0, None))
-    else:
-        sig = np.linalg.svd(x, compute_uv=False)
-    return Spectrum(sig)
+    eig = np.linalg.eigvalsh(_gram(x))[::-1]
+    return Spectrum(np.sqrt(np.clip(eig, 0.0, None)))
 
 
 def _nonzero_lambdas(s: Spectrum) -> np.ndarray:
@@ -169,8 +172,12 @@ def pc1_fraction(s: Spectrum) -> float:
 
 
 def ed_of_matrix(m, scheme: str = "task") -> float:
-    """Centered-spectrum effective dimensionality of a score grid."""
-    return effective_dimensionality(singular_spectrum(center(m, scheme)))
+    """Centered-spectrum effective dimensionality, tr(G)^2 / ||G||_F^2."""
+    gram = _gram(center(m, scheme))
+    trace = float(np.trace(gram))
+    if trace <= 0.0:
+        raise ValueError("all-zero spectrum: effective dimensionality undefined")
+    return trace * trace / float(np.vdot(gram, gram))
 
 
 def principal_components(x, k: int) -> PcDecomposition:

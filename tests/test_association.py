@@ -184,6 +184,14 @@ class TestTetrachoric:
         assert tetrachoric([[10, 0], [5, 10]]) == 0.999
         assert tetrachoric([[0, 10], [10, 5]]) == -0.999
 
+    def test_unconverged_root_raises(self, monkeypatch):
+        # a check that raises, unlike an assert, survives ``python -O``
+        import spectradiag.association as association
+
+        monkeypatch.setattr(association, "brentq", lambda f, lo, hi, xtol: 0.0)
+        with pytest.raises(ValueError, match="misses the joint pass rate"):
+            tetrachoric([[12, 6], [6, 12]])
+
     @pytest.mark.parametrize("true_rho", [-0.5, 0.0, 0.5, 0.9])
     def test_recovery_from_thresholded_normals(self, true_rho):
         rng = np.random.default_rng(42)

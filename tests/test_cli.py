@@ -69,6 +69,29 @@ class TestEdCommand:
         assert code == 2
         assert "t1" in err and "'a'" in err
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+    def test_non_finite_cell_exit_2_names_line(self, capsys, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"task_id,a,b\nt1,1,0\n\nt2,{cell},1\n", encoding="utf-8")
+        code, out, err = run(capsys, "ed", "--matrix", p, "--bootstrap-iters", "0")
+        assert code == 2
+        assert out == ""
+        assert f"{p}:4:" in err and "'t2'" in err and "'a'" in err
+
+    @pytest.mark.parametrize(
+        "values", ["[[1, 0], [0]]", "[[1, 0], [0, NaN]]", "[[1, 0], [0, Infinity]]"]
+    )
+    def test_malformed_json_values_exit_2(self, capsys, tmp_path, values):
+        p = tmp_path / "bad.json"
+        p.write_text(
+            f'{{"task_ids": ["t1", "t2"], "model_ids": ["a", "b"], "values": {values}}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "ed", "--matrix", p, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert str(p) in err
+
     def test_out_file_written(self, capsys, toy_matrix, tmp_path):
         dest = tmp_path / "report.json"
         _, out, _ = run(
@@ -311,21 +334,19 @@ class TestCompress:
         assert len(lines) > 5
 
 
-class TestThreads:
-    def test_thread_cap_does_not_change_output(self, capsys, toy_matrix):
-        _, out1, _ = run(
-            capsys, "ed", "--matrix", toy_matrix, "--threads", "1", "--bootstrap-iters", "0"
-        )
-        _, out8, _ = run(
-            capsys, "ed", "--matrix", toy_matrix, "--threads", "8", "--bootstrap-iters", "0"
-        )
-        assert out1 == out8
+class TestRepeatability:
+    def test_ed_bootstrap_rerun_byte_identical(self, capsys, toy_matrix):
+        argv = ("ed", "--matrix", toy_matrix, "--seed", "3", "--bootstrap-iters", "50")
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
-    def test_env_var_mirrors_flag(self, capsys, toy_matrix, monkeypatch):
-        monkeypatch.setenv("SPECTRADIAG_THREADS", "4")
-        code, out, _ = run(capsys, "ed", "--matrix", toy_matrix, "--bootstrap-iters", "0")
-        assert code == 0
-
-    def test_invalid_threads_exit_2(self, capsys, toy_matrix):
-        code, _, _ = run(capsys, "ed", "--matrix", toy_matrix, "--threads", "0")
-        assert code == 2
+    def test_select_random_rerun_byte_identical(self, capsys, toy_matrix):
+        argv = (
+            "select", "--matrix", toy_matrix, "--method", "random", "--k", "2", "--seed", "4"
+        )
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2

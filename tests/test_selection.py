@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from spectradiag import (
     score_matrix,
     submodularity_probe,
 )
-from spectradiag.selection import _GramEvaluator
+
+
+def subset_ed_reference(values, rows) -> float:
+    """From-scratch oracle: ED from the SVD of the task-centered submatrix."""
+    sub = values[list(rows)]
+    lam = np.linalg.svd(sub - sub.mean(axis=1, keepdims=True), compute_uv=False) ** 2
+    return float(lam.sum() ** 2 / np.dot(lam, lam))
 
 
 def binary(arr, prefix="t"):
@@ -57,7 +64,7 @@ class TestEdGreedy:
         ids = {tid: i for i, tid in enumerate(pool.task_ids)}
         for step in range(1, 13):
             rows = [ids[t] for t in res.selected[:step]]
-            ref = _GramEvaluator.subset_ed_reference(values, rows)
+            ref = subset_ed_reference(values, rows)
             assert math.isclose(res.ed_trajectory[step - 1], ref, rel_tol=1e-9)
 
     def test_matches_from_scratch_greedy(self, pool):
@@ -72,7 +79,7 @@ class TestEdGreedy:
             best_t = None
             best = None
             for t in remaining:
-                ed = round(_GramEvaluator.subset_ed_reference(values, chosen + [t]), 9)
+                ed = round(subset_ed_reference(values, chosen + [t]), 9)
                 cand = (ed, variances[t], pool.task_ids[t])
                 if best is None:
                     better = True
@@ -102,6 +109,18 @@ class TestEdGreedy:
 
     def test_deterministic(self, pool):
         assert ed_greedy(pool, 8).selected == ed_greedy(pool, 8).selected
+
+    def test_memory_stays_linear_in_tasks(self):
+        # a T x T Gram at T = 8000 alone would take 512 MB
+        rng = np.random.default_rng(6)
+        m = binary((rng.random((8000, 10)) < 0.5).astype(float), prefix="task")
+        tracemalloc.start()
+        try:
+            ed_greedy(m, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_subset_ed_bounds(self, pool):
         res = ed_greedy(pool, 10)
