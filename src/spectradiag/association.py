@@ -1,9 +1,10 @@
 """Pairwise association machinery.
 
 Correlation matrices with bootstrap/partial/stratified variants, tetrachoric
-estimation from 2x2 pass/fail tables (latent bivariate-normal model solved by
-bracketed root finding), average-linkage clustering on 1-|r| distances,
-redundancy/complementarity flags, and the Hamming baseline.
+estimation from 2x2 pass/fail tables (latent bivariate-normal model solved for
+all pairs at once by Newton's method safeguarded by bisection on a bracket),
+average-linkage clustering on 1-|r| distances, redundancy/complementarity
+flags, and the Hamming baseline.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.stats import kendalltau, norm, rankdata
 
 from .matrix_io import ScoreMatrix
 from .spectral import participation_ratio
 
-CORR_METHODS = ("pearson", "spearman", "kendall", "tetrachoric")
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _RHO_CLAMP = 0.999
+_RHO_BRACKET = 0.999999
 
 __all__ = [
     "ClusterGrouping",
@@ -124,21 +123,30 @@ def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix
     if ids is None:
         ids = [f"series_{i}" for i in range(p)]
     ids = [str(i) for i in ids]
-    degenerate = [ids[i] for i in range(p) if np.all(table[i] == table[i, 0])]
+    flat = np.all(table == table[:, :1], axis=1)
+    live = np.flatnonzero(~flat)
     values = np.full((p, p), np.nan)
-    np.fill_diagonal(values, 1.0)
-    for i in range(p):
-        if ids[i] in degenerate:
-            continue
-        for j in range(i + 1, p):
-            if ids[j] in degenerate:
-                continue
-            r = _pair_corr(table[i], table[j], method)
-            values[i, j] = values[j, i] = r
-    for d in degenerate:
-        k = ids.index(d)
-        values[k, k] = np.nan
-    return CorrMatrix(tuple(ids), values, method, tuple(degenerate))
+    if method in ("pearson", "spearman"):
+        data = rankdata(table[live], axis=1) if method == "spearman" else table[live]
+        z = data - data.mean(axis=1, keepdims=True)
+        # Normalise after the product, as np.corrcoef does: centred ranks are
+        # multiples of 1/2, so their products sum exactly in any order and
+        # small or zero Spearman values keep full relative precision.
+        gram = z @ z.T
+        scale = np.sqrt(np.diag(gram))
+        r = gram / scale[:, None] / scale[None, :]
+        # mirror the upper triangle so the matrix is exactly symmetric
+        r = np.triu(np.clip(r, -1.0, 1.0), 1)
+        r += r.T
+        np.fill_diagonal(r, 1.0)
+        values[np.ix_(live, live)] = r
+    else:
+        values[live, live] = 1.0
+        for a, i in enumerate(live):
+            for j in live[a + 1 :]:
+                values[i, j] = values[j, i] = _pair_corr(table[i], table[j], method)
+    degenerate = tuple(ids[i] for i in np.flatnonzero(flat))
+    return CorrMatrix(tuple(ids), values, method, degenerate)
 
 
 def correlation_ci(
@@ -227,24 +235,83 @@ def stratified_correlation(x, y, strata, min_reliable: int = 5, levels=None):
     return out
 
 
-def _bivariate_cdf(h: float, k: float, rho: float) -> float:
-    """P(Z1 <= h, Z2 <= k) for standard bivariate normal with correlation rho.
+def _orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P(Z1 > h, Z2 > k) for standard bivariate normals, one value per pair.
 
-    One-dimensional Gauss-Legendre quadrature (64 nodes) over the correlation
-    parameter of the standard integral representation.
+    Uses the integral of the bivariate density over the correlation parameter
+    from 0 to rho, by one-dimensional Gauss-Legendre quadrature (64 nodes).
     """
-    base = norm.cdf(h) * norm.cdf(k)
-    if rho == 0.0:
-        return float(base)
-    r = 0.5 * rho * (_GL_NODES + 1.0)
-    w = 0.5 * abs(rho) * _GL_WEIGHTS
+    ch, ck = norm.cdf(h), norm.cdf(k)
+    r = 0.5 * rho[:, None] * (_GL_NODES + 1.0)
     onem = 1.0 - r * r
-    integrand = np.exp(-(h * h - 2.0 * h * k * r + k * k) / (2.0 * onem)) / np.sqrt(onem)
-    return float(base + np.sign(rho) * (integrand @ w) / (2.0 * np.pi))
+    h2, k2 = h[:, None], k[:, None]
+    integrand = np.exp(-(h2 * h2 - 2.0 * h2 * k2 * r + k2 * k2) / (2.0 * onem)) / np.sqrt(onem)
+    return 1.0 - ch - ck + (ch * ck + 0.5 * rho * (integrand @ _GL_WEIGHTS) / (2.0 * np.pi))
 
 
-def _orthant_probability(h: float, k: float, rho: float) -> float:
-    return 1.0 - norm.cdf(h) - norm.cdf(k) + _bivariate_cdf(h, k, rho)
+def _density(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Bivariate normal density at (h, k): the derivative of ``_orthant`` in rho."""
+    onem = 1.0 - rho * rho
+    return np.exp(-(h * h - 2.0 * h * k * rho + k * k) / (2.0 * onem)) / (
+        2.0 * np.pi * np.sqrt(onem)
+    )
+
+
+def _solve_rho(h: np.ndarray, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Root in rho of ``_orthant(h, k, rho) = target`` for every pair at once.
+
+    Newton's method from rho = 0, keeping a bracket per pair that the root
+    stays inside (the orthant probability increases with rho). A step that
+    leaves the current bracket is replaced by its midpoint. A pair stops once
+    its step is at most 1e-12. Callers pass only pairs whose root lies inside
+    [-_RHO_BRACKET, _RHO_BRACKET].
+    """
+    lo = np.full(h.shape, -_RHO_BRACKET)
+    hi = np.full(h.shape, _RHO_BRACKET)
+    rho = np.zeros(h.shape)
+    todo = np.arange(h.size)
+    for _ in range(200):
+        if todo.size == 0:
+            break
+        r, hh, kk = rho[todo], h[todo], k[todo]
+        f = _orthant(hh, kk, r) - target[todo]
+        lo[todo] = np.where(f < 0.0, r, lo[todo])
+        hi[todo] = np.where(f > 0.0, r, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = r - f / _density(hh, kk, r)
+        inside = (new > lo[todo]) & (new < hi[todo])
+        new = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
+        rho[todo] = new
+        todo = todo[np.abs(new - r) > 1e-12]
+    return rho
+
+
+def _tetrachoric_pairs(n11, n10, n01, n00) -> np.ndarray:
+    """Tetrachoric rho for each 2x2 table given by aligned count arrays.
+
+    Every table must have both margins strictly inside (0, n).
+    """
+    n = n11 + n10 + n01 + n00
+    rho = np.where((n11 == 0.0) | (n00 == 0.0), -_RHO_CLAMP, _RHO_CLAMP)
+    fit = np.flatnonzero((n11 > 0.0) & (n00 > 0.0) & (n10 > 0.0) & (n01 > 0.0))
+    h = norm.ppf(1.0 - (n11[fit] + n10[fit]) / n[fit])
+    k = norm.ppf(1.0 - (n11[fit] + n01[fit]) / n[fit])
+    target = n11[fit] / n[fit]
+    # a root outside the bracket is clamped like a zero cell
+    below = _orthant(h, k, np.full(fit.size, -_RHO_BRACKET)) > target
+    above = _orthant(h, k, np.full(fit.size, _RHO_BRACKET)) < target
+    rho[fit[below]] = -_RHO_CLAMP
+    rho[fit[above & ~below]] = _RHO_CLAMP
+    inner = ~(below | above)
+    fit, h, k, target = fit[inner], h[inner], k[inner], target[inner]
+    root = _solve_rho(h, k, target)
+    residual = _orthant(h, k, root) - target
+    bad = ~(np.abs(residual) < 1e-6)
+    if bad.any():
+        worst = residual[bad][np.argmax(np.abs(residual[bad]))]
+        raise ValueError(f"tetrachoric root misses the joint pass rate by {worst:.2e}")
+    rho[fit] = root
+    return rho
 
 
 def tetrachoric(table) -> float:
@@ -264,53 +331,33 @@ def tetrachoric(table) -> float:
     p_col = (n11 + n01) / n
     if p_row in (0.0, 1.0) or p_col in (0.0, 1.0):
         raise ValueError("tetrachoric undefined: zero marginal")
-    if n11 == 0.0 or n00 == 0.0:
-        return -_RHO_CLAMP
-    if n10 == 0.0 or n01 == 0.0:
-        return _RHO_CLAMP
-    h = norm.ppf(1.0 - p_row)
-    k = norm.ppf(1.0 - p_col)
-    target = n11 / n
-
-    def objective(rho: float) -> float:
-        return _orthant_probability(h, k, rho) - target
-
-    lo, hi = -0.999999, 0.999999
-    if objective(lo) > 0.0:
-        return -_RHO_CLAMP
-    if objective(hi) < 0.0:
-        return _RHO_CLAMP
-    rho = brentq(objective, lo, hi, xtol=1e-10)
-    residual = objective(rho)
-    if abs(residual) >= 1e-6:
-        raise ValueError(f"tetrachoric root misses the joint pass rate by {residual:.2e}")
-    return float(rho)
+    return float(_tetrachoric_pairs(*t.reshape(4, 1))[0])
 
 
 def tetrachoric_matrix(m: ScoreMatrix) -> np.ndarray:
-    """Model x model tetrachoric correlation matrix over task outcomes."""
+    """Model x model tetrachoric correlation matrix over task outcomes.
+
+    All 2x2 tables come from one product V^T V of the 0/1 grid, and all
+    pairs are solved together: O(T * N^2) to count, O(N^2) per Newton step.
+    """
     if m.kind != "binary":
         raise ValueError("tetrachoric correction requires a binary matrix")
     if m.n_models < 3:
         raise ValueError("tetrachoric ED needs at least three models")
-    values = m.dense_values().astype(bool)
+    values = m.dense_values()
+    passes = values.sum(axis=0)
     for j, model in enumerate(m.model_ids):
-        col = values[:, j]
-        if col.all() or not col.any():
+        if passes[j] in (0.0, m.n_tasks):
             raise ValueError(
                 f"model {model!r} has a constant outcome column (zero marginal)"
             )
-    n = m.n_models
-    out = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = values[:, i]
-            b = values[:, j]
-            n11 = float(np.count_nonzero(a & b))
-            n10 = float(np.count_nonzero(a & ~b))
-            n01 = float(np.count_nonzero(~a & b))
-            n00 = float(np.count_nonzero(~a & ~b))
-            out[i, j] = out[j, i] = tetrachoric([[n11, n10], [n01, n00]])
+    i, j = np.triu_indices(m.n_models, 1)
+    n11 = (values.T @ values)[i, j]
+    n10 = passes[i] - n11
+    n01 = passes[j] - n11
+    n00 = m.n_tasks - passes[i] - passes[j] + n11
+    out = np.eye(m.n_models)
+    out[i, j] = out[j, i] = _tetrachoric_pairs(n11, n10, n01, n00)
     return out
 
 
@@ -329,9 +376,9 @@ def hierarchical_cluster(
     """Average-linkage agglomeration over distance 1 - |r|.
 
     Ties are broken by the lexicographically smallest member-id pair, which
-    makes the tree invariant to input ordering. Exactly one of ``cut_height``
-    and ``n_groups`` selects the flat partition (cut at a height keeps merges
-    strictly below it).
+    makes the tree invariant to input ordering. Each merge costs O(N^2).
+    Exactly one of ``cut_height`` and ``n_groups`` selects the flat partition
+    (cut at a height keeps merges strictly below it).
     """
     if c.has_undefined:
         raise ValueError(
@@ -339,29 +386,27 @@ def hierarchical_cluster(
         )
     if (cut_height is None) == (n_groups is None):
         raise ValueError("specify exactly one of cut_height or n_groups")
-    dist = 1.0 - np.abs(c.values)
     ids = c.ids
-    clusters: list[tuple[str, ...]] = [(i,) for i in ids]
-    index = {ids[i]: i for i in range(len(ids))}
-
-    def linkage(a: tuple[str, ...], b: tuple[str, ...]) -> float:
-        rows = [index[i] for i in a]
-        cols = [index[j] for j in b]
-        return float(dist[np.ix_(rows, cols)].mean())
-
+    # sums[i, j] is the summed 1 - |r| over the member pairs of the clusters
+    # held in slots i and j; merging j into i adds row and column j into i.
+    sums = 1.0 - np.abs(c.values)
+    sizes = np.ones(len(ids))
+    members: list[tuple[str, ...]] = [(i,) for i in ids]
+    open_pairs = np.triu(np.ones(sums.shape, dtype=bool), 1)
     merges: list[tuple[tuple[str, ...], tuple[str, ...], float]] = []
-    while len(clusters) > 1:
-        best = None
-        for ai in range(len(clusters)):
-            for bi in range(ai + 1, len(clusters)):
-                a, b = sorted((clusters[ai], clusters[bi]))
-                key = (linkage(a, b), a, b)
-                if best is None or key < best:
-                    best = key
-        d, a, b = best
-        merges.append((a, b, d))
-        clusters = [cl for cl in clusters if cl not in (a, b)]
-        clusters.append(tuple(sorted(a + b)))
+    for _ in range(len(ids) - 1):
+        link = np.where(open_pairs, sums / np.outer(sizes, sizes), np.inf)
+        d = link.min()
+        a, b, i, j = min(
+            (*sorted((members[i], members[j])), i, j)
+            for i, j in np.argwhere(link == d).tolist()
+        )
+        merges.append((a, b, float(d)))
+        sums[i] += sums[j]
+        sums[:, i] += sums[:, j]
+        sizes[i] += sizes[j]
+        open_pairs[j] = open_pairs[:, j] = False
+        members[i] = tuple(sorted(a + b))
 
     groups: list[tuple[str, ...]] = [(i,) for i in ids]
     applied = 0
@@ -408,16 +453,11 @@ def mean_pairwise_hamming(m: ScoreMatrix) -> float:
     if m.kind != "binary":
         raise ValueError("Hamming baseline requires a binary matrix")
     values = m.dense_values()
-    n = m.n_models
-    if n < 2:
+    if m.n_models < 2:
         raise ValueError("need at least two models")
-    total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += float(np.mean(values[:, i] != values[:, j]))
-            pairs += 1
-    return total / pairs
+    agree = values.T @ values + (1.0 - values).T @ (1.0 - values)
+    disagree = m.n_tasks - agree[np.triu_indices(m.n_models, 1)]
+    return float(np.mean(disagree / m.n_tasks))
 
 
 def save_corr_csv(c: CorrMatrix, path) -> None:

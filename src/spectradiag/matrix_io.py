@@ -69,12 +69,14 @@ class ScoreMatrix:
             raise MatrixValidationError("need at least two model columns")
         if len(task_ids) != t or len(model_ids) != n:
             raise MatrixValidationError("id lists must match the grid shape")
+        positions = []
         for name, ids in (("task", task_ids), ("model", model_ids)):
-            seen: set[str] = set()
-            for i in ids:
+            seen: dict[str, int] = {}
+            for pos, i in enumerate(ids):
                 if i in seen:
                     raise MatrixValidationError(f"duplicate {name} id: {i!r}")
-                seen.add(i)
+                seen[i] = pos
+            positions.append(seen)
         if missing.shape != values.shape:
             raise MatrixValidationError("missing mask must match the grid shape")
         present = values[~missing]
@@ -99,6 +101,9 @@ class ScoreMatrix:
         object.__setattr__(self, "model_ids", model_ids)
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "missing", _readonly(missing))
+        # id -> position lookups for task_index/model_index; not dataclass fields
+        object.__setattr__(self, "_task_pos", positions[0])
+        object.__setattr__(self, "_model_pos", positions[1])
 
     @property
     def n_tasks(self) -> int:
@@ -128,14 +133,14 @@ class ScoreMatrix:
 
     def task_index(self, task_id: str) -> int:
         try:
-            return self.task_ids.index(task_id)
-        except ValueError:
+            return self._task_pos[task_id]
+        except KeyError:
             raise KeyError(f"unknown task id: {task_id!r}") from None
 
     def model_index(self, model_id: str) -> int:
         try:
-            return self.model_ids.index(model_id)
-        except ValueError:
+            return self._model_pos[model_id]
+        except KeyError:
             raise KeyError(f"unknown model id: {model_id!r}") from None
 
     def subset_tasks(self, task_ids) -> "ScoreMatrix":
@@ -333,7 +338,13 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
     if not isinstance(records, list):
         raise MatrixValidationError(f"{path}: metadata must be a JSON array")
     metas: list[ModelMeta] = []
-    for rec in records:
+    for index, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise MatrixValidationError(f"{path}: metadata record {index} is not an object")
+        if not isinstance(rec.get("labels") or {}, dict):
+            raise MatrixValidationError(
+                f"{path}: metadata record {index} has labels that are not an object"
+            )
         model_id = rec.get("model_id")
         if not model_id:
             raise MatrixValidationError(f"{path}: metadata record without model_id")

@@ -202,33 +202,32 @@ def _profile_distances(values: np.ndarray) -> np.ndarray:
 
 
 def _k_medoids(values: np.ndarray, k: int, seed: int, max_swaps: int = 50) -> list[int]:
+    """PAM swaps from a seeded start, all k x T swaps scored per round.
+
+    Following FastPAM1 (Schubert & Rousseeuw), the change in total cost of
+    swapping medoid m for candidate c is a term shared by every medoid plus
+    a sum over the tasks whose nearest medoid is m. Each round costs
+    O(k * T^2) in one matrix product and takes the first best swap in
+    (medoid position, candidate) order if it lowers the cost by over 1e-12.
+    """
     dist = _profile_distances(values)
     t = values.shape[0]
     rng = np.random.default_rng(seed)
     medoids = sorted(rng.choice(t, size=k, replace=False).tolist())
     for _ in range(max_swaps):
-        cost = dist[:, medoids].min(axis=1)
-        best_delta = 0.0
-        best_swap = None
-        medoid_set = set(medoids)
-        part = np.partition(dist[:, medoids], 1, axis=1) if k > 1 else None
-        nearest = dist[:, medoids].argmin(axis=1)
-        for mi, medoid in enumerate(medoids):
-            if k > 1:
-                without = np.where(nearest == mi, part[:, 1], cost)
-            else:
-                without = np.full(t, np.inf)
-            for cand in range(t):
-                if cand in medoid_set:
-                    continue
-                new_cost = np.minimum(without, dist[:, cand]).sum()
-                delta = new_cost - cost.sum()
-                if delta < best_delta - 1e-12:
-                    best_delta = delta
-                    best_swap = (mi, cand)
-        if best_swap is None:
+        to_medoids = dist[:, medoids]
+        nearest = to_medoids.argmin(axis=1)
+        cost = to_medoids.min(axis=1)
+        second = np.partition(to_medoids, 1, axis=1)[:, 1] if k > 1 else np.full(t, np.inf)
+        kept = np.minimum(dist, cost[:, None])
+        delta = (kept - cost[:, None]).sum(axis=0) + np.eye(k)[nearest].T @ (
+            np.minimum(dist, second[:, None]) - kept
+        )
+        delta[:, medoids] = np.inf
+        mi, cand = np.unravel_index(np.argmin(delta), delta.shape)
+        if not delta[mi, cand] < -1e-12:
             break
-        medoids[best_swap[0]] = best_swap[1]
+        medoids[mi] = int(cand)
         medoids.sort()
     return sorted(medoids)
 

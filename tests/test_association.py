@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.stats import norm, pearsonr, spearmanr
 
 from spectradiag import (
     correlation_ci,
@@ -17,7 +19,89 @@ from spectradiag import (
     tetrachoric,
     tetrachoric_ed,
 )
-from spectradiag.association import save_corr_csv
+from spectradiag.association import save_corr_csv, tetrachoric_matrix
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def tetrachoric_reference(table) -> float:
+    """Scalar oracle: bracketed ``brentq`` root of the quadrature orthant
+    probability, one pair at a time."""
+    n11, n10, n01, n00 = np.asarray(table, dtype=float).ravel()
+    n = n11 + n10 + n01 + n00
+    if n11 == 0.0 or n00 == 0.0:
+        return -0.999
+    if n10 == 0.0 or n01 == 0.0:
+        return 0.999
+    h = norm.ppf(1.0 - (n11 + n10) / n)
+    k = norm.ppf(1.0 - (n11 + n01) / n)
+
+    def objective(rho):
+        base = norm.cdf(h) * norm.cdf(k)
+        if rho != 0.0:
+            r = 0.5 * rho * (_GL_NODES + 1.0)
+            onem = 1.0 - r * r
+            f = np.exp(-(h * h - 2.0 * h * k * r + k * k) / (2.0 * onem)) / np.sqrt(onem)
+            base += np.sign(rho) * (f @ (0.5 * abs(rho) * _GL_WEIGHTS)) / (2.0 * np.pi)
+        return 1.0 - norm.cdf(h) - norm.cdf(k) + base - n11 / n
+
+    lo, hi = -0.999999, 0.999999
+    if objective(lo) > 0.0:
+        return -0.999
+    if objective(hi) < 0.0:
+        return 0.999
+    return brentq(objective, lo, hi, xtol=1e-10)
+
+
+def tetrachoric_matrix_reference(values) -> np.ndarray:
+    v = np.asarray(values, dtype=bool)
+    n = v.shape[1]
+    out = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = v[:, i], v[:, j]
+            table = [[np.sum(a & b), np.sum(a & ~b)], [np.sum(~a & b), np.sum(~a & ~b)]]
+            out[i, j] = out[j, i] = tetrachoric_reference(table)
+    return out
+
+
+def average_linkage_reference(c):
+    """Oracle merge list: every cluster-pair linkage recomputed by ``np.ix_``
+    at every merge; ties go to the lexicographically smallest id pair."""
+    dist = 1.0 - np.abs(c.values)
+    index = {cid: i for i, cid in enumerate(c.ids)}
+    clusters = [(i,) for i in c.ids]
+    merges = []
+    while len(clusters) > 1:
+        best = None
+        for ai in range(len(clusters)):
+            for bi in range(ai + 1, len(clusters)):
+                a, b = sorted((clusters[ai], clusters[bi]))
+                rows = [index[i] for i in a]
+                cols = [index[j] for j in b]
+                key = (float(dist[np.ix_(rows, cols)].mean()), a, b)
+                if best is None or key < best:
+                    best = key
+        d, a, b = best
+        merges.append((a, b, d))
+        clusters = [cl for cl in clusters if cl not in (a, b)]
+        clusters.append(tuple(sorted(a + b)))
+    return merges
+
+
+@st.composite
+def binary_grids(draw):
+    """Small 0/1 task x model grids with no constant column; zero cells are
+    common and some columns are exact copies."""
+    t = draw(st.integers(4, 30))
+    n = draw(st.integers(3, 6))
+    cells = draw(st.lists(st.booleans(), min_size=t * n, max_size=t * n))
+    v = np.asarray(cells, dtype=float).reshape(t, n)
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    v = np.column_stack([v, v[:, copies]])
+    passes = v.sum(axis=0)
+    assume(np.all((passes > 0) & (passes < t)))
+    return v
 
 
 class TestPairwise:
@@ -65,6 +149,37 @@ class TestPairwise:
             ).values[0, 1]
             assert math.isclose(base, warp_x, abs_tol=1e-12)
             assert math.isclose(base, warp_y, abs_tol=1e-12)
+
+
+@st.composite
+def score_tables(draw):
+    """Small integer tables, series as rows: rank ties, constant rows and
+    duplicated rows all occur."""
+    p = draw(st.integers(2, 6))
+    n = draw(st.integers(3, 12))
+    cells = draw(st.lists(st.integers(0, 5), min_size=p * n, max_size=p * n))
+    table = np.asarray(cells, dtype=float).reshape(p, n)
+    copies = draw(st.lists(st.integers(0, p - 1), max_size=2))
+    return np.vstack([table, table[copies]])
+
+
+class TestPairwiseAgainstScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(table=score_tables(), method=st.sampled_from(["pearson", "spearman"]))
+    def test_matches_per_pair_scipy(self, table, method):
+        c = pairwise_correlation(table, method=method)
+        assert np.array_equal(c.values, c.values.T, equal_nan=True)
+        flat = [np.all(row == row[0]) for row in table]
+        ref = pearsonr if method == "pearson" else spearmanr
+        for i in range(len(table)):
+            for j in range(len(table)):
+                if flat[i] or flat[j]:
+                    assert np.isnan(c.values[i, j])
+                elif i == j:
+                    assert c.values[i, j] == 1.0
+                else:
+                    want = ref(table[i], table[j]).statistic
+                    assert abs(c.values[i, j] - want) < 1e-12
 
 
 class TestCorrelationCi:
@@ -188,7 +303,7 @@ class TestTetrachoric:
         # a check that raises, unlike an assert, survives ``python -O``
         import spectradiag.association as association
 
-        monkeypatch.setattr(association, "brentq", lambda f, lo, hi, xtol: 0.0)
+        monkeypatch.setattr(association, "_solve_rho", lambda h, k, target: np.zeros_like(h))
         with pytest.raises(ValueError, match="misses the joint pass rate"):
             tetrachoric([[12, 6], [6, 12]])
 
@@ -203,6 +318,23 @@ class TestTetrachoric:
             [np.sum(~x & y), np.sum(~x & ~y)],
         ]
         assert abs(tetrachoric(table) - true_rho) < 0.05
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 60), min_size=4, max_size=4))
+    def test_scalar_matches_brentq_reference(self, cells):
+        table = np.reshape(cells, (2, 2))
+        assume(0 < table[0].sum() < table.sum() and 0 < table[:, 0].sum() < table.sum())
+        assert abs(tetrachoric(table) - tetrachoric_reference(table)) < 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary_grids())
+    def test_matrix_matches_brentq_reference(self, v):
+        m = score_matrix(
+            [f"t{i}" for i in range(v.shape[0])], [f"m{j}" for j in range(v.shape[1])], v
+        )
+        got = tetrachoric_matrix(m)
+        assert np.array_equal(got, got.T)
+        np.testing.assert_allclose(got, tetrachoric_matrix_reference(v), rtol=0, atol=1e-8)
 
 
 class TestTetrachoricEd:
@@ -298,6 +430,19 @@ class TestClustering:
         assert heights == sorted(heights)
 
 
+class TestClusteringAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 12), groups=st.integers(1, 4))
+    def test_same_tree_as_block_mean_reference(self, seed, p, groups):
+        rows = np.random.default_rng(seed).standard_normal((p, 8))
+        c = pairwise_correlation(rows, method="pearson")
+        g = hierarchical_cluster(c, n_groups=groups)
+        ref = average_linkage_reference(c)
+        assert [m[:2] for m in g.merges] == [m[:2] for m in ref]
+        heights = np.array([m[2] for m in g.merges])
+        np.testing.assert_allclose(heights, [m[2] for m in ref], rtol=0, atol=1e-12)
+
+
 class TestRedundancyFlags:
     def test_threshold_logic(self):
         ids = ["a", "b", "c"]
@@ -333,6 +478,18 @@ class TestHamming:
             ["t1", "t2", "t3"], ["a", "b"], np.array([[0.0, 1], [1, 1], [1, 0]])
         )
         assert math.isclose(mean_pairwise_hamming(m), 2 / 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary_grids())
+    def test_matches_pairwise_loop(self, v):
+        m = score_matrix(
+            [f"t{i}" for i in range(v.shape[0])], [f"m{j}" for j in range(v.shape[1])], v
+        )
+        n = v.shape[1]
+        ref = np.mean(
+            [np.mean(v[:, i] != v[:, j]) for i in range(n) for j in range(i + 1, n)]
+        )
+        assert abs(mean_pairwise_hamming(m) - ref) < 1e-12
 
 
 class TestSerialization:

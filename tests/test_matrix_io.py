@@ -204,6 +204,16 @@ class TestMetadata:
         with pytest.raises(MatrixValidationError, match="non-ISO date"):
             load_metadata(p)
 
+    def test_non_object_record_rejected(self, tmp_path):
+        p = write(tmp_path / "meta.json", '[{"model_id": "m1"}, "m2"]')
+        with pytest.raises(MatrixValidationError, match=r"meta\.json: metadata record 1 "):
+            load_metadata(p)
+
+    def test_non_object_labels_rejected(self, tmp_path):
+        p = write(tmp_path / "meta.json", '[{"model_id": "m1", "labels": ["code"]}]')
+        with pytest.raises(MatrixValidationError, match=r"meta\.json: metadata record 0 .*labels"):
+            load_metadata(p)
+
 
 class TestSubsets:
     def test_subset_models_keeps_values(self, tiny_binary):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectradiag import (
     IrtSpec,
@@ -15,6 +17,7 @@ from spectradiag import (
     score_matrix,
     submodularity_probe,
 )
+from spectradiag.selection import _k_medoids, _profile_distances
 
 
 def subset_ed_reference(values, rows) -> float:
@@ -22,6 +25,32 @@ def subset_ed_reference(values, rows) -> float:
     sub = values[list(rows)]
     lam = np.linalg.svd(sub - sub.mean(axis=1, keepdims=True), compute_uv=False) ** 2
     return float(lam.sum() ** 2 / np.dot(lam, lam))
+
+
+def k_medoids_reference(values, k, seed, max_swaps=50):
+    """Per-swap oracle: every (medoid, candidate) swap costed by its own pass;
+    the first swap that beats the running best by 1e-12 wins."""
+    dist = _profile_distances(values)
+    t = values.shape[0]
+    medoids = sorted(np.random.default_rng(seed).choice(t, size=k, replace=False).tolist())
+    for _ in range(max_swaps):
+        cost = dist[:, medoids].min(axis=1)
+        nearest = dist[:, medoids].argmin(axis=1)
+        second = np.partition(dist[:, medoids], 1, axis=1)[:, 1] if k > 1 else None
+        best_delta, best_swap = 0.0, None
+        for mi in range(k):
+            without = np.where(nearest == mi, second, cost) if k > 1 else np.full(t, np.inf)
+            for cand in range(t):
+                if cand in medoids:
+                    continue
+                delta = np.minimum(without, dist[:, cand]).sum() - cost.sum()
+                if delta < best_delta - 1e-12:
+                    best_delta, best_swap = delta, (mi, cand)
+        if best_swap is None:
+            break
+        medoids[best_swap[0]] = best_swap[1]
+        medoids.sort()
+    return sorted(medoids)
 
 
 def binary(arr, prefix="t"):
@@ -155,6 +184,20 @@ class TestBaselines:
         b = baseline_select(pool, 5, "k_medoids", seed=1)
         assert a.selected == b.selected
         assert len(a.selected) == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(4, 30),
+        k=st.integers(1, 4),
+        max_swaps=st.integers(1, 50),
+    )
+    def test_k_medoids_matches_per_swap_reference(self, seed, t, k, max_swaps):
+        # continuous rows keep every swap cost distinct (no exact ties)
+        values = np.random.default_rng(seed).standard_normal((t, 6))
+        assert _k_medoids(values, k, seed, max_swaps) == k_medoids_reference(
+            values, k, seed, max_swaps
+        )
 
     def test_discrimination_selects_aligned_tasks(self):
         rng = np.random.default_rng(1)
