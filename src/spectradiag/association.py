@@ -61,12 +61,12 @@ class CorrMatrix:
         finite = np.isfinite(values)
         if not np.array_equal(finite, finite.T):
             raise ValueError("undefined entries must be symmetric")
-        if np.nanmax(np.abs(values - values.T)) > 1e-12:
+        if np.any(np.abs(values[finite] - values.T[finite]) > 1e-12):
             raise ValueError("correlation matrix must be symmetric")
         diag = np.diag(values)
         if not np.allclose(diag[np.isfinite(diag)], 1.0, atol=1e-12):
             raise ValueError("diagonal must be one")
-        if np.nanmax(np.abs(values)) > 1.0 + 1e-12:
+        if np.any(np.abs(values[finite]) > 1.0 + 1e-12):
             raise ValueError("correlations must lie in [-1, 1]")
         values = values.copy()
         values.flags.writeable = False

@@ -4,6 +4,12 @@ Covers the analytic random-matrix baseline, permutation nulls with per-rank
 percentile bands, bootstrap confidence intervals, matched-dimension
 subsampling, split-half reliability, metadata AUC, and the classical
 factor-retention estimators used as cross-checks.
+
+The bootstrap takes every resample's ED from one QR factor of the centered
+grid, so its per-resample cost does not grow with T once T > N. The
+permutation and parallel-analysis nulls shuffle the whole grid in one
+``Generator.permuted`` call per replicate, into a buffer reused across
+replicates.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from scipy.stats import rankdata
 from .matrix_io import ScoreMatrix
 from .spectral import (
     Spectrum,
+    _column_resample_eds,
+    _gram,
     center,
     ed_of_matrix,
     effective_dimensionality,
@@ -98,8 +106,9 @@ def mp_null_ed(n_tasks: int, n_models: int) -> float:
     return n_tasks * n_models / (n_tasks + n_models)
 
 
-def _variance_fractions(values: np.ndarray) -> np.ndarray:
-    lam = singular_spectrum(center(values)).sigmas ** 2
+def _variance_fractions(xc: np.ndarray) -> np.ndarray:
+    """Variance share per rank of a centered grid, from its Gram eigenvalues."""
+    lam = np.clip(np.linalg.eigvalsh(_gram(xc))[::-1], 0.0, None)
     total = lam.sum()
     if total <= 0.0:
         return np.zeros_like(lam)
@@ -116,20 +125,26 @@ def permutation_null(
 
     ``axis="rows"`` (default) permutes each task row across model columns,
     preserving per-task difficulty marginals; ``axis="columns"`` permutes
-    within model columns instead.
+    within model columns instead. Each replicate shuffles the whole grid in
+    one ``Generator.permuted`` call into a buffer reused across replicates;
+    a row shuffle keeps the task means, so that axis centers only once.
     """
     if replicates < 2:
         raise ValueError("need at least two replicates")
     if axis not in ("rows", "columns"):
         raise ValueError(f"axis must be 'rows' or 'columns', got {axis!r}")
     values = m.dense_values()
+    if axis == "rows":
+        values = center(values)
+    shuffled = np.empty_like(values)
     fractions = np.empty((replicates, min(values.shape)))
     for r in range(replicates):
         rng = np.random.default_rng((seed, r))
         if axis == "rows":
-            shuffled = np.array([rng.permutation(row) for row in values])
+            rng.permuted(values, axis=1, out=shuffled)
         else:
-            shuffled = np.array([rng.permutation(col) for col in values.T]).T
+            rng.permuted(values, axis=0, out=shuffled)
+            shuffled -= shuffled.mean(axis=1, keepdims=True)
         fractions[r] = _variance_fractions(shuffled)
     band = np.percentile(fractions, 95.0, axis=0)
     return NullSpectrumBand(band=band, replicates=replicates, seed=seed)
@@ -137,7 +152,7 @@ def permutation_null(
 
 def significant_pcs(m: ScoreMatrix, band: NullSpectrumBand) -> int:
     """Largest r such that the leading r variance fractions all exceed the band."""
-    observed = _variance_fractions(m.dense_values())
+    observed = _variance_fractions(center(m.dense_values()))
     count = 0
     for obs, null95 in zip(observed, band.band):
         if obs > null95:
@@ -157,23 +172,33 @@ def bootstrap_ed_ci(
     """Percentile interval of ED under model-column resampling.
 
     Degenerate resamples (every task row constant) carry no spectrum and are
-    skipped.
+    skipped. The grid is centered and QR-factored once, and each resample's
+    ED is taken from the resampled columns of the min(T, N) x N factor, so R
+    iterations cost O(T * N^2 + R * min(T, N) * N^2) instead of a T x N copy
+    and an O(T * N^2) Gram per resample.
     """
     if m.n_models < 5:
         raise ValueError("bootstrap needs at least five model columns")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     values = m.dense_values()
-    eds = []
+    # A resample is degenerate exactly when all its columns are equal. Cells
+    # are finite and adding 0.0 turns -0.0 into 0.0, so equal bytes mean
+    # equal cells; each column is labelled by the first column equal to it.
+    first: dict[bytes, int] = {}
+    labels = np.array(
+        [first.setdefault(col.tobytes(), j) for j, col in enumerate(values.T + 0.0)]
+    )
+    kept = []
     for i in range(iterations):
         rng = np.random.default_rng((seed, i))
         idx = rng.integers(0, m.n_models, size=m.n_models)
-        sub = values[:, idx]
-        if np.all(sub == sub[:, :1]):
+        if np.all(labels[idx] == labels[idx[0]]):
             continue
-        eds.append(ed_of_matrix(sub, scheme))
-    if not eds:
+        kept.append(idx)
+    if not kept:
         raise ValueError("every bootstrap resample was degenerate")
+    eds = _column_resample_eds(values, kept, scheme)
     alpha = (1.0 - level) / 2.0
     low, high = np.percentile(eds, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(low), float(high)
@@ -274,6 +299,24 @@ def _model_correlation_eigenvalues(values: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(corr))[::-1]
 
 
+def _parallel_analysis_null(values: np.ndarray, seed: int, replicates: int) -> np.ndarray:
+    """Model-correlation eigenvalues, largest first, of ``replicates`` grids
+    whose columns are shuffled independently; one row per replicate.
+
+    A within-column shuffle keeps each column's mean and spread, so the grid
+    is standardized once to Z and each replicate's correlation matrix is
+    Zp^T Zp / T for the shuffled Zp, written into one reused buffer.
+    """
+    z = (values - values.mean(axis=0)) / values.std(axis=0)
+    shuffled = np.empty_like(z)
+    eigs = np.empty((replicates, z.shape[1]))
+    for r in range(replicates):
+        rng = np.random.default_rng((seed, r))
+        rng.permuted(z, axis=0, out=shuffled)
+        eigs[r] = np.linalg.eigvalsh(shuffled.T @ shuffled / z.shape[0])[::-1]
+    return eigs
+
+
 def alternative_estimators(
     m: ScoreMatrix,
     seed: int = 0,
@@ -283,18 +326,15 @@ def alternative_estimators(
 
     Parallel analysis and broken-stick count leading eigenvalues until the
     first failure; Kaiser counts eigenvalues above one; var80/var90 count
-    components needed to reach the cumulative-variance threshold.
+    components needed to reach the cumulative-variance threshold. Each
+    parallel-analysis replicate shuffles every column of the standardized
+    grid in one ``Generator.permuted`` call.
     """
     values = m.dense_values()
     eig = _model_correlation_eigenvalues(values)
     p = eig.size
 
-    null_eigs = np.empty((pa_replicates, p))
-    for r in range(pa_replicates):
-        rng = np.random.default_rng((seed, r))
-        shuffled = np.array([rng.permutation(col) for col in values.T]).T
-        null_eigs[r] = _model_correlation_eigenvalues(shuffled)
-    pa_mean = null_eigs.mean(axis=0)
+    pa_mean = _parallel_analysis_null(values, seed, pa_replicates).mean(axis=0)
     pa = 0
     for obs, null in zip(eig, pa_mean):
         if obs > null:

@@ -90,11 +90,6 @@ class _GramEvaluator:
         self.fro2 = 0.0
         self.cross = np.zeros(values.shape[0])
 
-    @property
-    def current_ed(self) -> float:
-        """ED of the tasks selected so far (0 while the selection is flat)."""
-        return self.trace * self.trace / self.fro2 if self.fro2 > 0.0 else 0.0
-
     def candidate_ed(self, idx):
         """ED after adding task ``idx``; an index array gives one ED per entry."""
         d = self.diag[idx]
@@ -338,6 +333,21 @@ class SubmodularityReport:
     seed: int
 
 
+def _append_gain(gram: np.ndarray, x: np.ndarray) -> float:
+    """ED gain from appending task row ``x`` to rows whose N x N Gram is ``gram``.
+
+    Appending adds x x^T to the Gram: its trace grows by |x|^2 and its squared
+    Frobenius norm by 2 x^T G x + |x|^4. A flat selection has ED 0.
+    """
+    d = float(x @ x)
+    trace = float(np.trace(gram))
+    fro2 = float(np.vdot(gram, gram))
+    new_fro2 = fro2 + 2.0 * float(x @ gram @ x) + d * d
+    before = trace * trace / fro2 if fro2 > 0.0 else 0.0
+    after = (trace + d) ** 2 / new_fro2 if new_fro2 > 0.0 else 0.0
+    return after - before
+
+
 def submodularity_probe(
     m: ScoreMatrix,
     samples: int = 200,
@@ -347,12 +357,15 @@ def submodularity_probe(
     ratio of t's marginal ED gain at S to its gain at S'.
 
     Samples with denominator below 1e-9 or negative numerator are excluded
-    from gamma (negative-gain samples are counted separately).
+    from gamma (negative-gain samples are counted separately). Each sample
+    costs O(|S'| * N^2): one N x N Gram of the task-centered rows of S,
+    extended to S' by the rows of S' outside S.
     """
     values = m.dense_values()
     n_tasks = m.n_tasks
     if n_tasks < 8:
         raise ValueError("submodularity probe needs at least eight tasks")
+    xc = center(values, "task")
     gammas = []
     negative = 0
     for i in range(samples):
@@ -363,13 +376,12 @@ def submodularity_probe(
         s_small = perm[:small]
         s_big = perm[:big]
         t = perm[big]
-        ev = _GramEvaluator(values)
-        for idx in s_small:
-            ev.add(idx)
-        gain_small = float(ev.candidate_ed(t)) - ev.current_ed
-        for idx in s_big[small:]:
-            ev.add(idx)
-        gain_big = float(ev.candidate_ed(t)) - ev.current_ed
+        rows = xc[s_small]
+        gram = rows.T @ rows
+        gain_small = _append_gain(gram, xc[t])
+        rows = xc[s_big[small:]]
+        gram += rows.T @ rows
+        gain_big = _append_gain(gram, xc[t])
         if gain_small < 0.0:
             negative += 1
             continue

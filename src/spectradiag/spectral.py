@@ -107,6 +107,25 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
 
 
+def _column_resample_eds(x: np.ndarray, resamples, scheme: str) -> np.ndarray:
+    """ED of ``x[:, idx]`` centered by ``scheme``, for each ``idx`` in ``resamples``.
+
+    Each ED is :func:`ed_of_matrix` of the ``idx`` columns of the
+    min(T, N) x N factor R of a QR decomposition of the full grid Xc centered
+    by ``scheme``. R^T R = Xc^T Xc, so the column Gram of R[:, idx] is that of
+    Xc[:, idx], and a zero column of Xc stays exactly zero in R. Under
+    ``model`` and ``none`` that Gram is the resample's own. Under ``task`` and
+    ``double``, Xc[:, idx] differs from the centered resample only by a
+    constant along each task row, so centering the rows of R[:, idx] gives
+    the centered resample's Gram exactly. Cost: O(T * N^2) once, then
+    O(min(T, N) * n^2) per resample of n columns, with no T x n array per
+    resample when T > N.
+    """
+    factor = np.linalg.qr(center(x, scheme), mode="r")
+    resample_scheme = "task" if scheme in ("task", "double") else "none"
+    return np.array([ed_of_matrix(factor[:, idx], resample_scheme) for idx in resamples])
+
+
 def singular_spectrum(x) -> Spectrum:
     """Singular values of a real matrix, largest first, from its Gram matrix.
 

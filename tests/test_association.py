@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,13 @@ class TestPairwise:
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
             pairwise_correlation(np.array([[1.0, 2], [2.0, 1]]))
+
+    def test_all_constant_rows_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = pairwise_correlation(np.array([[1.0, 1, 1], [0.0, 0, 0]]))
+        assert c.degenerate_ids == c.ids
+        assert np.isnan(c.values).all()
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=5, max_size=20, unique=True))

@@ -19,11 +19,31 @@ from spectradiag import (
     significant_pcs,
     split_half_reliability,
 )
+from spectradiag.nulls import _parallel_analysis_null
 
 
 def binary_from(arr):
     t, n = arr.shape
     return score_matrix([f"t{i}" for i in range(t)], [f"m{j}" for j in range(n)], arr)
+
+
+def bootstrap_ed_ci_reference(m, iterations, seed, scheme, level=0.95):
+    """Per-resample loop: copy the resampled columns, skip a resample whose
+    task rows are all constant, and take ed_of_matrix of the rest."""
+    values = m.dense_values()
+    eds = []
+    for i in range(iterations):
+        rng = np.random.default_rng((seed, i))
+        idx = rng.integers(0, m.n_models, size=m.n_models)
+        sub = values[:, idx]
+        if np.all(sub == sub[:, :1]):
+            continue
+        eds.append(ed_of_matrix(sub, scheme))
+    if not eds:
+        raise ValueError("every bootstrap resample was degenerate")
+    alpha = (1.0 - level) / 2.0
+    low, high = np.percentile(eds, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return float(low), float(high)
 
 
 class TestMpNull:
@@ -99,6 +119,34 @@ class TestBootstrapCi:
         low, high = bootstrap_ed_ci(m, iterations=200, seed=0)
         assert math.isclose(low, 1.0, rel_tol=1e-9)
         assert math.isclose(high, 1.0, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("scheme", ["task", "model", "double", "none"])
+    def test_matches_per_resample_reference(self, irt_k5, scheme):
+        rng = np.random.default_rng(8)
+        col = np.array([1.0, 0, 1, 0, 1, 1, 0])
+        # One column differs from four equal ones (one of them with -0.0
+        # cells): about a third of the resamples are degenerate and skipped;
+        # under "none" an unskipped one would have ED 1, the others above 1.
+        one_off = np.column_stack([col, col, np.where(col == 0, -0.0, col), col, 1 - col])
+        grids = {
+            "tall": irt_k5.subset_models(irt_k5.model_ids[:25]),
+            "wide": irt_k5.subset_tasks(irt_k5.task_ids[:12]).subset_models(
+                irt_k5.model_ids[:30]
+            ),
+            "continuous": binary_from(rng.random((40, 9))),
+            "complementary": binary_from(np.column_stack([col, col, 1 - col, 1 - col, col])),
+            "one_off": binary_from(one_off),
+        }
+        for name, m in grids.items():
+            got = bootstrap_ed_ci(m, iterations=150, seed=3, scheme=scheme)
+            want = bootstrap_ed_ci_reference(m, iterations=150, seed=3, scheme=scheme)
+            assert got == pytest.approx(want, rel=1e-9), name
+
+    def test_all_equal_columns_degenerate(self):
+        col = np.array([1.0, 0, 1, 0, 1, 1, 0])
+        m = binary_from(np.column_stack([col] * 6))
+        with pytest.raises(ValueError, match="every bootstrap resample was degenerate"):
+            bootstrap_ed_ci(m, iterations=20)
 
     def test_seed_reproducible_and_brackets(self, irt_k5):
         sub = irt_k5.subset_models(irt_k5.model_ids[:30])
@@ -236,6 +284,17 @@ class TestAlternativeEstimators:
         for key in ("parallel_analysis", "kaiser", "broken_stick", "var80", "var90"):
             vals = [counts[k][key] for k in (1, 5, 10)]
             assert vals == sorted(vals), f"{key} not nondecreasing: {vals}"
+
+    @pytest.mark.parametrize("shape", [(300, 20), (15, 40)])
+    def test_null_eigenvalues_match_corrcoef_of_shuffled_grid(self, shape):
+        values = np.random.default_rng(2).random(shape)
+        got = _parallel_analysis_null(values, seed=4, replicates=5)
+        assert got.shape == (5, shape[1])
+        for r in range(5):
+            shuffled = np.random.default_rng((4, r)).permuted(values, axis=0)
+            corr = np.corrcoef(shuffled, rowvar=False)
+            want = np.sort(np.linalg.eigvalsh(corr))[::-1]
+            np.testing.assert_allclose(got[r], want, rtol=0.0, atol=1e-10)
 
     def test_degenerate_column_rejected(self):
         m = score_matrix(["t1", "t2", "t3"], ["a", "b"], [[1, 1], [0, 1], [1, 1]])

@@ -17,7 +17,7 @@ from spectradiag import (
     score_matrix,
     submodularity_probe,
 )
-from spectradiag.selection import _k_medoids, _profile_distances
+from spectradiag.selection import _GramEvaluator, _k_medoids, _profile_distances
 
 
 def subset_ed_reference(values, rows) -> float:
@@ -25,6 +25,33 @@ def subset_ed_reference(values, rows) -> float:
     sub = values[list(rows)]
     lam = np.linalg.svd(sub - sub.mean(axis=1, keepdims=True), compute_uv=False) ** 2
     return float(lam.sum() ** 2 / np.dot(lam, lam))
+
+
+def submodularity_reference(values, samples, seed):
+    """Per-sample loop: a fresh task-side evaluator per sample, adding S and
+    then S' one task at a time. Returns the valid gammas and the count of
+    negative-gain samples."""
+    n_tasks = values.shape[0]
+    gammas = []
+    negative = 0
+    for i in range(samples):
+        rng = np.random.default_rng((seed, i))
+        small = rng.integers(2, max(3, n_tasks // 4) + 1)
+        big = rng.integers(small + 1, min(2 * small, n_tasks - 1) + 1)
+        perm = rng.permutation(n_tasks)
+        t = perm[big]
+        ev = _GramEvaluator(values)
+        gains = []
+        for added in (perm[:small], perm[small:big]):
+            for idx in added:
+                ev.add(idx)
+            now = ev.trace * ev.trace / ev.fro2 if ev.fro2 > 0.0 else 0.0
+            gains.append(float(ev.candidate_ed(t)) - now)
+        if gains[0] < 0.0:
+            negative += 1
+        elif gains[1] > 1e-9:
+            gammas.append(gains[0] / gains[1])
+    return np.asarray(gammas), negative
 
 
 def k_medoids_reference(values, k, seed, max_swaps=50):
@@ -308,6 +335,22 @@ class TestSubmodularity:
         rep = submodularity_probe(m, samples=200, seed=1)
         assert rep.min_gamma >= 0.0
         assert rep.min_gamma < 0.7
+
+    def test_matches_per_sample_evaluator_reference(self, pool):
+        rng = np.random.default_rng(6)
+        grids = [
+            pool,
+            gen_irt_matrix(IrtSpec(k=3, tasks=200, models=50, seed=9)),
+            binary(rng.random((90, 120))),
+        ]
+        for m in grids:
+            rep = submodularity_probe(m, samples=120, seed=2)
+            gammas, negative = submodularity_reference(m.dense_values(), 120, 2)
+            assert rep.valid_samples == gammas.size
+            assert rep.negative_gain_samples == negative
+            assert math.isclose(rep.median_gamma, np.median(gammas), rel_tol=1e-9)
+            assert math.isclose(rep.min_gamma, gammas.min(), rel_tol=1e-9)
+            assert rep.violation_fraction == (gammas < 1.0).mean()
 
     def test_seed_reproducible(self, pool):
         a = submodularity_probe(pool, samples=60, seed=5)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectradiag import (
@@ -17,7 +17,7 @@ from spectradiag import (
     shannon_effective_rank,
     singular_spectrum,
 )
-from spectradiag.spectral import CENTERING_SCHEMES
+from spectradiag.spectral import CENTERING_SCHEMES, _column_resample_eds
 
 spectra = st.lists(
     st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=40
@@ -268,3 +268,25 @@ class TestGramKernelAgainstSvd:
         # agreement is measured on the scale of the top singular value.
         keep = ref >= 1e-6 * top
         np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-8, atol=1e-8 * top)
+
+
+class TestColumnResampleEds:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=score_grids(),
+        scheme=st.sampled_from(CENTERING_SCHEMES),
+        data=st.data(),
+    )
+    def test_matches_ed_of_resampled_grid(self, x, scheme, data):
+        n = x.shape[1]
+        col_copies = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        x = np.hstack([x, x[:, col_copies]])
+        n = x.shape[1]
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        sub = x[:, idx]
+        # Resamples whose centered grid is zero have no spectrum; the
+        # bootstrap skips the ones with all columns equal.
+        assume(np.linalg.norm(center(sub, scheme)) > 1e-6)
+        got = _column_resample_eds(x, [idx], scheme)
+        assert got.shape == (1,)
+        assert math.isclose(got[0], ed_of_matrix(sub, scheme), rel_tol=1e-9)
