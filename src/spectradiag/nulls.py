@@ -171,24 +171,31 @@ def bootstrap_ed_ci(
 ) -> tuple[float, float]:
     """Percentile interval of ED under model-column resampling.
 
-    Degenerate resamples (every task row constant) carry no spectrum and are
-    skipped. The grid is centered and QR-factored once, and each resample's
-    ED is taken from the resampled columns of the min(T, N) x N factor, so R
-    iterations cost O(T * N^2 + R * min(T, N) * N^2) instead of a T x N copy
-    and an O(T * N^2) Gram per resample.
+    Degenerate resamples carry no spectrum and are skipped: those whose
+    columns are all equal (every task row constant), under ``model`` also
+    those whose columns are all constant, and under ``double`` those whose
+    columns all differ by constants. The grid is centered and QR-factored
+    once, and each resample's ED is taken from the resampled columns of the
+    min(T, N) x N factor, so R iterations cost O(T * N^2 + R * min(T, N) *
+    N^2) instead of a T x N copy and an O(T * N^2) Gram per resample.
     """
     if m.n_models < 5:
         raise ValueError("bootstrap needs at least five model columns")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     values = m.dense_values()
-    # A resample is degenerate exactly when all its columns are equal. Cells
-    # are finite and adding 0.0 turns -0.0 into 0.0, so equal bytes mean
-    # equal cells; each column is labelled by the first column equal to it.
+    # A resample is degenerate exactly when all its column labels are equal.
+    # A column is labelled by the first column equal to it; under "double" by
+    # the first with equal differences from its first cell, which are
+    # correctly rounded values of equal reals when two columns differ by a
+    # constant. Cells are finite and adding 0.0 turns -0.0 into 0.0, so
+    # equal bytes mean equal cells. Under "model" every constant column
+    # centers to zero, so they all share one label.
+    cols = values.T - values[:1].T if scheme == "double" else values.T
     first: dict[bytes, int] = {}
-    labels = np.array(
-        [first.setdefault(col.tobytes(), j) for j, col in enumerate(values.T + 0.0)]
-    )
+    labels = np.array([first.setdefault(col.tobytes(), j) for j, col in enumerate(cols + 0.0)])
+    if scheme == "model":
+        labels[values.max(axis=0) == values.min(axis=0)] = -1
     kept = []
     for i in range(iterations):
         rng = np.random.default_rng((seed, i))

@@ -190,13 +190,18 @@ def pc1_fraction(s: Spectrum) -> float:
     return float(lam[0] / lam.sum())
 
 
+def _gram_ed(gram: np.ndarray) -> np.ndarray:
+    """tr(G)^2 / ||G||_F^2 of each Gram matrix in a (..., n, n) stack."""
+    trace = gram.trace(axis1=-2, axis2=-1)
+    if (trace <= 0.0).any():
+        raise ValueError("all-zero spectrum: effective dimensionality undefined")
+    row = gram.reshape(gram.shape[:-2] + (1, -1))
+    return trace * trace / (row @ row.swapaxes(-1, -2))[..., 0, 0]
+
+
 def ed_of_matrix(m, scheme: str = "task") -> float:
     """Centered-spectrum effective dimensionality, tr(G)^2 / ||G||_F^2."""
-    gram = _gram(center(m, scheme))
-    trace = float(np.trace(gram))
-    if trace <= 0.0:
-        raise ValueError("all-zero spectrum: effective dimensionality undefined")
-    return trace * trace / float(np.vdot(gram, gram))
+    return float(_gram_ed(_gram(center(m, scheme))))
 
 
 def principal_components(x, k: int) -> PcDecomposition:

@@ -4,6 +4,12 @@ Sliding-window ED over a performance-sorted population (optionally variance
 standardized within windows), the Mann-Kendall monotone-trend test with tie
 correction, hyperbolic saturation fits, fixed-variance control subsets,
 cohort bootstrap comparison, and the diversity-insertion probe.
+
+The cohort bootstrap scores all R resamples of S models over k benchmarks at
+once: each resample is a row of model multiplicities, and one product of that
+R x n count matrix with the n cohort models' values and pairwise products
+gives every resample's k x k standardized Gram, O(R * S) draws plus
+O(R * n * k^2) arithmetic instead of R copies of a k x S block.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from scipy.stats import norm
 
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix
-from .spectral import ed_of_matrix
+from .spectral import _gram_ed, ed_of_matrix
 
 __all__ = [
     "CohortComparison",
@@ -61,10 +67,12 @@ class EdSeries:
 def _window_ed(table: np.ndarray, standardize: bool) -> float:
     """Suite ED of a benchmarks x models block.
 
-    With ``standardize`` each benchmark row is z-scored within the block
-    (zero-variance rows contribute nothing either way).
+    With ``standardize`` each benchmark row is z-scored within the block.
+    A row whose values are all equal contributes nothing either way: it is
+    set to zero rather than left with its rounded centering residue.
     """
     x = table - table.mean(axis=1, keepdims=True)
+    x[table.max(axis=1) == table.min(axis=1)] = 0.0
     if standardize:
         std = table.std(axis=1, keepdims=True)
         scale = np.where(std > 0.0, std, 1.0)
@@ -297,6 +305,39 @@ class CohortComparison:
     seed: int
 
 
+def _cohort_eds(block: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Standardized suite ED of ``block[:, pos]`` for each row ``pos`` of ``positions``.
+
+    ``block`` is k benchmarks x n cohort models and ``positions`` is R x S.
+    Each resample is reduced to its model multiplicities (one row of an
+    R x n count matrix C); with the block centered by its cohort means (Xc)
+    and P the n x k(k+1)/2 per-model products of centered rows, the resample
+    means are C Xc^T / S and its second moments C P / S, so every resample's
+    covariance comes from one product. A benchmark whose sampled values are
+    all equal (decided exactly, from its max and min over the draws) gets a
+    zero row, as in :func:`_window_ed`; the others are scaled to unit
+    variance, and ED is tr(G)^2 / ||G||_F^2 of each k x k result.
+    """
+    k, n = block.shape
+    r, size = positions.shape
+    flat = (np.arange(r)[:, None] * n + positions).ravel()
+    counts = np.bincount(flat, minlength=r * n).reshape(r, n)
+    xc = block - block.mean(axis=1, keepdims=True)
+    i, j = np.triu_indices(k)
+    moments = counts @ np.vstack([xc, xc[i] * xc[j]]).T / size
+    mean, second = moments[:, :k], moments[:, k:]
+    cov = np.empty((r, k, k))
+    cov[:, i, j] = cov[:, j, i] = second - mean[:, i] * mean[:, j]
+    constant = np.empty((r, k), dtype=bool)
+    for b, row in enumerate(block):
+        drawn = row[positions]
+        constant[:, b] = drawn.max(axis=1) == drawn.min(axis=1)
+    var = np.where(constant, 1.0, np.diagonal(cov, axis1=1, axis2=2))
+    scale = np.where(constant, 0.0, 1.0 / np.sqrt(var))
+    gram = cov * scale[:, :, None] * scale[:, None, :]
+    return _gram_ed(gram)
+
+
 def cohort_bootstrap_compare(
     s: SuiteScores,
     group_a,
@@ -308,21 +349,25 @@ def cohort_bootstrap_compare(
     """Resample both cohorts, compare their suite EDs.
 
     ``p_direction`` is the fraction of iterations with ED(b) > ED(a);
-    Cohen's d is computed on the two bootstrap distributions.
+    Cohen's d is computed on the two bootstrap distributions. Iteration i
+    draws cohort a's resample, then cohort b's, from ``default_rng((seed, i))``;
+    the EDs of all iterations then come from :func:`_cohort_eds`, in
+    O(R * S + R * n * k^2) time and O(R * (S + n)) memory for R iterations,
+    S = ``sample``, cohorts of n models and k benchmarks.
     """
-    idx_a = [s.model_ids.index(m) for m in group_a]
-    idx_b = [s.model_ids.index(m) for m in group_b]
+    idx_a = s.model_positions(group_a)
+    idx_b = s.model_positions(group_b)
     if len(idx_a) < 10 or len(idx_b) < 10:
         raise ValueError("each cohort needs at least ten models")
-    table = s.benchmark_table()
-    ed_a = np.empty(iterations)
-    ed_b = np.empty(iterations)
+    pos_a = np.empty((iterations, sample), dtype=np.intp)
+    pos_b = np.empty((iterations, sample), dtype=np.intp)
     for i in range(iterations):
+        # The positions rng.choice(idx, size=sample, replace=True) would pick.
         rng = np.random.default_rng((seed, i))
-        cols_a = rng.choice(idx_a, size=sample, replace=True)
-        cols_b = rng.choice(idx_b, size=sample, replace=True)
-        ed_a[i] = _window_ed(table[:, cols_a], standardize=True)
-        ed_b[i] = _window_ed(table[:, cols_b], standardize=True)
+        pos_a[i] = rng.integers(0, len(idx_a), size=sample)
+        pos_b[i] = rng.integers(0, len(idx_b), size=sample)
+    ed_a = _cohort_eds(s.table[idx_a].T, pos_a)
+    ed_b = _cohort_eds(s.table[idx_b].T, pos_b)
     deltas = ed_b - ed_a
     pooled = math.sqrt((ed_a.var() + ed_b.var()) / 2.0)
     d = float(deltas.mean() / pooled) if pooled > 0.0 else 0.0

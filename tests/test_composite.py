@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectradiag import (
     SuiteScores,
@@ -16,6 +19,7 @@ from spectradiag import (
     load_suite,
     suite_ed,
 )
+from spectradiag.composite import FragilityReport, _zscore_columns
 
 
 def make_suite(table, bench_ids=None, model_ids=None):
@@ -26,6 +30,60 @@ def make_suite(table, bench_ids=None, model_ids=None):
         tuple(bench_ids or [f"b{i}" for i in range(k)]),
         table,
     )
+
+
+def ranking_reference(s, weights):
+    """The sort-by-key ranking: score descending, then id ascending."""
+    scores = _zscore_columns(s.table, s.benchmark_ids) @ np.asarray(weights, dtype=float)
+    order = sorted(range(s.n_models), key=lambda i: (-scores[i], s.model_ids[i]))
+    return [s.model_ids[i] for i in order]
+
+
+def champion_reference(model_ids, z, w):
+    """Smallest id among the exact maxima of the scores ``z @ w``.
+
+    Each score is the correctly rounded sum of its row's products, so equal
+    rows score equally wherever they sit (a BLAS product such as ``z @ W.T``
+    can round two equal rows differently: it did on an 18 x 3 table).
+    """
+    scores = np.array([math.fsum(row) for row in z * w])
+    top = scores.max()
+    return min(model_ids[i] for i in np.flatnonzero(scores == top))
+
+
+def dirichlet_fragility_reference(s, alpha=1.0, samples=10_000, seed=0):
+    """One champion per Dirichlet sample, scored sample by sample."""
+    k = s.n_benchmarks
+    z = _zscore_columns(s.table, s.benchmark_ids)
+    baseline = champion_reference(s.model_ids, z, np.full(k, 1.0 / k))
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.full(k, alpha), size=samples)
+    champions = [champion_reference(s.model_ids, z, w) for w in weights]
+    changes = sum(c != baseline for c in champions)
+    return FragilityReport(
+        champion_change_rate=changes / samples,
+        distinct_champions=len(set(champions)),
+        alpha=alpha,
+        samples=samples,
+        seed=seed,
+        equal_weight_champion=baseline,
+    )
+
+
+@st.composite
+def suites_with_duplicates(draw, integer=True):
+    """Suites where some models copy another's scores exactly; ids are
+    shuffled so that id order is not row order. Integer cells also make
+    distinct models tie on some weightings."""
+    n = draw(st.integers(3, 25))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, 4, size=(n, k)) if integer else rng.standard_normal((n, k))
+    table = table.astype(float)
+    copies = draw(st.integers(1, n - 1))
+    table[rng.integers(0, n, copies)] = table[rng.integers(0, n, copies)]
+    assume(np.all(table.max(axis=0) > table.min(axis=0)))
+    return make_suite(table, model_ids=[f"m{j:02d}" for j in rng.permutation(n)])
 
 
 @pytest.fixture
@@ -72,6 +130,13 @@ class TestRanking:
         )
         ranking = composite_ranking(s, [1, 1])
         assert ranking.index("abe") < ranking.index("zed")
+
+    @settings(max_examples=100, deadline=None)
+    @given(suites_with_duplicates(), st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    def test_matches_sort_by_key_reference(self, s, raw_weights):
+        weights = np.array(raw_weights[: s.n_benchmarks], dtype=float)
+        assume(weights.sum() > 0)
+        assert composite_ranking(s, weights) == ranking_reference(s, weights)
 
 
 class TestKendallTau:
@@ -137,6 +202,41 @@ class TestFragility:
         a = dirichlet_fragility(random_suite, samples=300, seed=9)
         b = dirichlet_fragility(random_suite, samples=300, seed=9)
         assert a == b
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        suites_with_duplicates(integer=False),
+        st.sampled_from([0.1, 1.0, 10.0]),
+        st.integers(1, 2500),
+        st.integers(0, 1000),
+    )
+    def test_matches_per_sample_reference(self, s, alpha, samples, seed):
+        # With continuous cells and three or more distinct rows only copied
+        # models tie in exact arithmetic (two distinct rows make every column
+        # two-valued, and the equal-weight scores can tie exactly), and any
+        # rounding order scores copies equally. Up to 2500 samples spans
+        # three product chunks.
+        assume(len(np.unique(s.table, axis=0)) >= 3)
+        got = dirichlet_fragility(s, alpha=alpha, samples=samples, seed=seed)
+        assert got == dirichlet_fragility_reference(s, alpha=alpha, samples=samples, seed=seed)
+
+    def test_duplicate_tie_goes_to_smallest_id(self):
+        # "m1" and "m0" score identically and beat "m2" under every weighting.
+        s = make_suite([[3.0, 2.0], [1.0, 0.0], [3.0, 2.0]], model_ids=["m1", "m2", "m0"])
+        rep = dirichlet_fragility(s, samples=50, seed=0)
+        assert rep.equal_weight_champion == "m0"
+        assert rep.distinct_champions == 1 and rep.champion_change_rate == 0.0
+
+    def test_memory_bounded_by_chunk(self):
+        # The full 3000 x 10000 score matrix alone would take 240 MB.
+        s = make_suite(np.random.default_rng(6).standard_normal((3000, 12)))
+        tracemalloc.start()
+        try:
+            dirichlet_fragility(s, samples=10_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestLeaveOneOut:
@@ -213,6 +313,19 @@ class TestSuiteEd:
         rng = np.random.default_rng(11)
         s = make_suite(rng.standard_normal((500, 4)))
         assert suite_ed(s) > 3.0
+
+
+class TestSubsets:
+    def test_subsets_follow_requested_order(self, random_suite):
+        sub = random_suite.subset_models(["m03", "m01"]).subset_benchmarks(["b4", "b0"])
+        assert sub.model_ids == ("m03", "m01") and sub.benchmark_ids == ("b4", "b0")
+        np.testing.assert_array_equal(sub.table, random_suite.table[np.ix_([3, 1], [4, 0])])
+
+    def test_unknown_id_rejected(self, random_suite):
+        with pytest.raises(ValueError, match="unknown model id: 'nope'"):
+            random_suite.subset_models(["m01", "nope"])
+        with pytest.raises(ValueError, match="unknown benchmark id: 'b9'"):
+            random_suite.subset_benchmarks(["b9"])
 
 
 class TestLoadSuite:

@@ -142,6 +142,18 @@ class TestBootstrapCi:
             want = bootstrap_ed_ci_reference(m, iterations=150, seed=3, scheme=scheme)
             assert got == pytest.approx(want, rel=1e-9), name
 
+    @pytest.mark.parametrize("scheme", ["model", "double"])
+    def test_constant_and_shifted_columns_skipped(self, scheme):
+        # Constant columns center to zero under "model"; under "double" so
+        # does any resample whose columns differ only by constants. Every
+        # other resample holds the one live column: rank one, ED exactly 1.
+        col = np.array([1.0, 0, 1, 0, 1, 1, 0])
+        zeros, ones = np.zeros(7), np.ones(7)
+        m = binary_from(np.column_stack([zeros, ones, zeros, ones, col]))
+        low, high = bootstrap_ed_ci(m, iterations=200, seed=0, scheme=scheme)
+        assert low == pytest.approx(1.0, rel=1e-12)
+        assert high == pytest.approx(1.0, rel=1e-12)
+
     def test_all_equal_columns_degenerate(self):
         col = np.array([1.0, 0, 1, 0, 1, 1, 0])
         m = binary_from(np.column_stack([col] * 6))

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import spectradiag.temporal as temporal
 
 from spectradiag import (
     EdSeries,
@@ -19,6 +21,7 @@ from spectradiag import (
     sliding_window_ed,
     temporal_information_density,
 )
+from spectradiag.temporal import CohortComparison, _window_ed
 
 
 def make_suite(table):
@@ -27,6 +30,54 @@ def make_suite(table):
     return SuiteScores(
         tuple(f"m{j:03d}" for j in range(n)), tuple(f"b{i}" for i in range(k)), table
     )
+
+
+def cohort_bootstrap_reference(s, group_a, group_b, sample, iterations, seed):
+    """Per-iteration loop: draw both resamples, copy each k x sample block and
+    score it with ``_window_ed``. Returns the comparison and both ED arrays."""
+    idx_a = [s.model_ids.index(m) for m in group_a]
+    idx_b = [s.model_ids.index(m) for m in group_b]
+    table = s.benchmark_table()
+    ed_a = np.empty(iterations)
+    ed_b = np.empty(iterations)
+    for i in range(iterations):
+        rng = np.random.default_rng((seed, i))
+        cols_a = rng.choice(idx_a, size=sample, replace=True)
+        cols_b = rng.choice(idx_b, size=sample, replace=True)
+        ed_a[i] = _window_ed(table[:, cols_a], standardize=True)
+        ed_b[i] = _window_ed(table[:, cols_b], standardize=True)
+    deltas = ed_b - ed_a
+    pooled = math.sqrt((ed_a.var() + ed_b.var()) / 2.0)
+    d = float(deltas.mean() / pooled) if pooled > 0.0 else 0.0
+    low, high = np.percentile(deltas, [2.5, 97.5])
+    cmp = CohortComparison(
+        delta=float(deltas.mean()),
+        ci=(float(low), float(high)),
+        cohens_d=d,
+        p_direction=float((ed_b > ed_a).mean()),
+        iterations=iterations,
+        seed=seed,
+    )
+    return cmp, ed_a, ed_b
+
+
+@st.composite
+def cohort_cases(draw):
+    """Small-integer suites with copied models, two cohorts of >= 10 models
+    and resamples small enough that some benchmarks are constant in them."""
+    n = draw(st.integers(12, 40))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, 3, size=(n, k)).astype(float) / 4.0
+    copies = draw(st.integers(0, n // 2))
+    table[rng.integers(0, n, copies)] = table[rng.integers(0, n, copies)]
+    s = make_suite(table)
+    ids = list(s.model_ids)
+    groups = [
+        [ids[j] for j in rng.choice(n, size=draw(st.integers(10, n)), replace=False)]
+        for _ in range(2)
+    ]
+    return s, groups, draw(st.integers(1, 25)), draw(st.integers(1, 30)), draw(st.integers(0, 99))
 
 
 class TestSlidingWindow:
@@ -66,6 +117,17 @@ class TestSlidingWindow:
         a = sliding_window_ed(make_suite(table), window=40, step=20, standardize=True)
         b = sliding_window_ed(make_suite(scaled), window=40, step=20, standardize=True)
         np.testing.assert_allclose(a.ed, b.ed, rtol=1e-9)
+
+    def test_constant_row_contributes_nothing(self):
+        # 0.1 has no exact mean over 300 copies; its rounded std (~1e-17) must
+        # not rescale the centering residue into a unit-variance noise row.
+        rng = np.random.default_rng(12)
+        live = rng.standard_normal((3, 300))
+        table = np.vstack([live, np.full(300, 0.1)])
+        series = sliding_window_ed(make_suite(table.T), window=300, step=1, standardize=True)
+        z = (live - live.mean(axis=1, keepdims=True)) / live.std(axis=1, keepdims=True)
+        assert series.ed[0] == pytest.approx(ed_of_matrix(z, scheme="none"), rel=1e-12)
+        assert series.ed[0] < 3.0
 
     def test_window_too_large(self):
         s = make_suite(np.random.default_rng(4).standard_normal((10, 3)))
@@ -252,6 +314,65 @@ class TestCohortCompare:
         r1 = cohort_bootstrap_compare(s, a, b, sample=15, iterations=50, seed=4)
         r2 = cohort_bootstrap_compare(s, a, b, sample=15, iterations=50, seed=4)
         assert r1 == r2
+
+    @settings(max_examples=80, deadline=None)
+    @given(cohort_cases())
+    def test_matches_per_iteration_reference(self, case):
+        s, (a, b), sample, iterations, seed = case
+        try:
+            want, ed_a, ed_b = cohort_bootstrap_reference(s, a, b, sample, iterations, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                cohort_bootstrap_compare(s, a, b, sample=sample, iterations=iterations, seed=seed)
+            return
+        got = cohort_bootstrap_compare(s, a, b, sample=sample, iterations=iterations, seed=seed)
+        assert got.delta == pytest.approx(want.delta, rel=1e-9, abs=1e-12)
+        assert got.ci == pytest.approx(want.ci, rel=1e-9, abs=1e-12)
+        # Cohen's d divides by the spread of the EDs; when every ED is the
+        # same real number that spread is rounding noise on both sides.
+        if math.sqrt((ed_a.var() + ed_b.var()) / 2.0) > 1e-9:
+            assert got.cohens_d == pytest.approx(want.cohens_d, rel=1e-9, abs=1e-9)
+        near_ties = np.count_nonzero(np.abs(ed_b - ed_a) <= 1e-9 * np.abs(ed_a))
+        assert abs(got.p_direction - want.p_direction) * iterations <= near_ties + 1e-9
+        assert (got.iterations, got.seed) == (want.iterations, want.seed)
+
+    def test_draws_match_choice_over_ids(self, monkeypatch):
+        seen = []
+
+        def record(block, positions):
+            seen.append((block, positions))
+            return np.zeros(len(positions))
+
+        monkeypatch.setattr(temporal, "_cohort_eds", record)
+        s = make_suite(np.random.default_rng(13).standard_normal((40, 3)))
+        a = [s.model_ids[j] for j in (5, 3, 17, 2, 30, 11, 8, 25, 39, 0, 21)]
+        b = list(s.model_ids[10:35])
+        cohort_bootstrap_compare(s, a, b, sample=17, iterations=6, seed=3)
+        (block_a, pos_a), (block_b, pos_b) = seen
+        idx_a = [s.model_ids.index(m) for m in a]
+        idx_b = [s.model_ids.index(m) for m in b]
+        np.testing.assert_array_equal(block_a, s.table[idx_a].T)
+        np.testing.assert_array_equal(block_b, s.table[idx_b].T)
+        for i in range(6):
+            rng = np.random.default_rng((3, i))
+            np.testing.assert_array_equal(
+                np.asarray(idx_a)[pos_a[i]], rng.choice(idx_a, size=17, replace=True)
+            )
+            np.testing.assert_array_equal(
+                np.asarray(idx_b)[pos_b[i]], rng.choice(idx_b, size=17, replace=True)
+            )
+
+    def test_constant_benchmark_contributes_nothing(self):
+        rng = np.random.default_rng(14)
+        live = rng.standard_normal((60, 3))
+        with_const = make_suite(np.column_stack([live, np.full(60, 0.1)]))
+        without = make_suite(live)
+        a, b = list(without.model_ids[:30]), list(without.model_ids[30:])
+        got = cohort_bootstrap_compare(with_const, a, b, sample=40, iterations=100, seed=2)
+        want = cohort_bootstrap_compare(without, a, b, sample=40, iterations=100, seed=2)
+        assert got.delta == pytest.approx(want.delta, rel=1e-9, abs=1e-12)
+        assert got.ci == pytest.approx(want.ci, rel=1e-9, abs=1e-12)
+        assert got.p_direction == want.p_direction
 
 
 class TestInsertionProbe:
