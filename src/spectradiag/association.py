@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau, norm, rankdata
 
 from .matrix_io import ScoreMatrix
 from .spectral import participation_ratio
@@ -100,6 +99,8 @@ class RedundancyFlags:
 def _pair_corr(x: np.ndarray, y: np.ndarray, method: str) -> float:
     if method == "pearson":
         return float(np.corrcoef(x, y)[0, 1])
+    from scipy.stats import kendalltau, rankdata
+
     if method == "spearman":
         return float(np.corrcoef(rankdata(x), rankdata(y))[0, 1])
     if method == "kendall":
@@ -127,7 +128,11 @@ def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix
     live = np.flatnonzero(~flat)
     values = np.full((p, p), np.nan)
     if method in ("pearson", "spearman"):
-        data = rankdata(table[live], axis=1) if method == "spearman" else table[live]
+        data = table[live]
+        if method == "spearman":
+            from scipy.stats import rankdata
+
+            data = rankdata(data, axis=1)
         z = data - data.mean(axis=1, keepdims=True)
         # Normalise after the product, as np.corrcoef does: centred ranks are
         # multiples of 1/2, so their products sum exactly in any order and
@@ -193,6 +198,8 @@ def partial_correlation(x, y, z, method: str = "spearman") -> float:
     if np.all(z == z[0]):
         raise ValueError("covariate z is constant")
     if method == "spearman":
+        from scipy.stats import rankdata
+
         x, y, z = rankdata(x), rankdata(y), rankdata(z)
     elif method != "pearson":
         raise ValueError(f"unsupported method for partial correlation: {method!r}")
@@ -241,7 +248,9 @@ def _orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     Uses the integral of the bivariate density over the correlation parameter
     from 0 to rho, by one-dimensional Gauss-Legendre quadrature (64 nodes).
     """
-    ch, ck = norm.cdf(h), norm.cdf(k)
+    from scipy.special import ndtr
+
+    ch, ck = ndtr(h), ndtr(k)
     r = 0.5 * rho[:, None] * (_GL_NODES + 1.0)
     onem = 1.0 - r * r
     h2, k2 = h[:, None], k[:, None]
@@ -291,11 +300,13 @@ def _tetrachoric_pairs(n11, n10, n01, n00) -> np.ndarray:
 
     Every table must have both margins strictly inside (0, n).
     """
+    from scipy.special import ndtri
+
     n = n11 + n10 + n01 + n00
     rho = np.where((n11 == 0.0) | (n00 == 0.0), -_RHO_CLAMP, _RHO_CLAMP)
     fit = np.flatnonzero((n11 > 0.0) & (n00 > 0.0) & (n10 > 0.0) & (n01 > 0.0))
-    h = norm.ppf(1.0 - (n11[fit] + n10[fit]) / n[fit])
-    k = norm.ppf(1.0 - (n11[fit] + n01[fit]) / n[fit])
+    h = ndtri(1.0 - (n11[fit] + n10[fit]) / n[fit])
+    k = ndtri(1.0 - (n11[fit] + n01[fit]) / n[fit])
     target = n11[fit] / n[fit]
     # a root outside the bracket is clamped like a zero cell
     below = _orthant(h, k, np.full(fit.size, -_RHO_BRACKET)) > target

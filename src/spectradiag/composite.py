@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .spectral import ed_of_matrix
 
@@ -200,6 +199,8 @@ def composite_ranking(s: SuiteScores, weights) -> list[str]:
 
 def kendall_tau(rank_a, rank_b) -> float:
     """Tie-corrected rank agreement between two orderings over shared ids."""
+    from scipy.stats import kendalltau
+
     in_b = set(rank_b)
     shared = [i for i in rank_a if i in in_b]
     if len(shared) < 2:

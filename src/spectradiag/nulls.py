@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .matrix_io import ScoreMatrix
 from .spectral import (
@@ -294,6 +293,8 @@ def pc_metadata_auc(scores, labels) -> float:
     n_neg = int((~labels).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be nonempty")
+    from scipy.stats import rankdata
+
     ranks = rankdata(scores)
     auc = (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(max(auc, 1.0 - auc))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .matrix_io import ScoreMatrix, score_matrix
 from .spectral import ed_of_matrix
@@ -136,6 +135,8 @@ def rank_recovery_report(
     The per-seed Spearman correlation between k and ED is averaged across
     seeds; overestimate ratios are mean ED divided by the true k.
     """
+    from scipy.stats import spearmanr
+
     ks = tuple(ks)
     eds = np.empty((seeds, len(ks)))
     for ki, k in enumerate(ks):

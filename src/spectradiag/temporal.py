@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix
@@ -173,7 +172,8 @@ def mann_kendall(series) -> MannKendall:
             z = (s + 1) / math.sqrt(var_s)
         else:
             z = 0.0
-        p = 2.0 * (1.0 - norm.cdf(abs(z)))
+        # two-sided tail 2 * (1 - Phi(|z|)) without the cancellation that rounds it to 0
+        p = math.erfc(abs(z) / math.sqrt(2.0))
     return MannKendall(tau=float(tau), p=float(p), s=s)
 
 

@@ -20,6 +20,7 @@ from spectradiag import (
     tetrachoric,
     tetrachoric_ed,
 )
+import spectradiag.association as association
 from spectradiag.association import save_corr_csv, tetrachoric_matrix
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -64,6 +65,46 @@ def tetrachoric_matrix_reference(values) -> np.ndarray:
             table = [[np.sum(a & b), np.sum(a & ~b)], [np.sum(~a & b), np.sum(~a & ~b)]]
             out[i, j] = out[j, i] = tetrachoric_reference(table)
     return out
+
+
+def orthant_norm_reference(h, k, rho):
+    """``association._orthant`` with the normal CDF taken from ``scipy.stats.norm``."""
+    ch, ck = norm.cdf(h), norm.cdf(k)
+    r = 0.5 * rho[:, None] * (_GL_NODES + 1.0)
+    onem = 1.0 - r * r
+    h2, k2 = h[:, None], k[:, None]
+    integrand = np.exp(-(h2 * h2 - 2.0 * h2 * k2 * r + k2 * k2) / (2.0 * onem)) / np.sqrt(onem)
+    return 1.0 - ch - ck + (ch * ck + 0.5 * rho * (integrand @ _GL_WEIGHTS) / (2.0 * np.pi))
+
+
+def tetrachoric_pairs_norm_reference(n11, n10, n01, n00):
+    """``association._tetrachoric_pairs`` with thresholds from ``norm.ppf``.
+
+    The orthant and the Newton solve are looked up on the module at call
+    time, so patching ``association._orthant`` routes them both through
+    ``orthant_norm_reference``.
+    """
+    n = n11 + n10 + n01 + n00
+    clamp, bracket = association._RHO_CLAMP, association._RHO_BRACKET
+    rho = np.where((n11 == 0.0) | (n00 == 0.0), -clamp, clamp)
+    fit = np.flatnonzero((n11 > 0.0) & (n00 > 0.0) & (n10 > 0.0) & (n01 > 0.0))
+    h = norm.ppf(1.0 - (n11[fit] + n10[fit]) / n[fit])
+    k = norm.ppf(1.0 - (n11[fit] + n01[fit]) / n[fit])
+    target = n11[fit] / n[fit]
+    below = association._orthant(h, k, np.full(fit.size, -bracket)) > target
+    above = association._orthant(h, k, np.full(fit.size, bracket)) < target
+    rho[fit[below]] = -clamp
+    rho[fit[above & ~below]] = clamp
+    inner = ~(below | above)
+    fit, h, k, target = fit[inner], h[inner], k[inner], target[inner]
+    root = association._solve_rho(h, k, target)
+    residual = association._orthant(h, k, root) - target
+    bad = ~(np.abs(residual) < 1e-6)
+    if bad.any():
+        worst = residual[bad][np.argmax(np.abs(residual[bad]))]
+        raise ValueError(f"tetrachoric root misses the joint pass rate by {worst:.2e}")
+    rho[fit] = root
+    return rho
 
 
 def average_linkage_reference(c):
@@ -343,6 +384,52 @@ class TestTetrachoric:
         got = tetrachoric_matrix(m)
         assert np.array_equal(got, got.T)
         np.testing.assert_allclose(got, tetrachoric_matrix_reference(v), rtol=0, atol=1e-8)
+
+
+class TestTetrachoricNormExact:
+    """The ``scipy.special`` ndtr/ndtri calls give the same bits as ``scipy.stats.norm``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.floats(-0.999999, 0.999999)
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_orthant(self, triples):
+        h, k, rho = np.asarray(triples, dtype=float).T
+        got = association._orthant(h, k, rho)
+        assert np.array_equal(got, orthant_norm_reference(h, k, rho))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 80)] * 4), min_size=1, max_size=20).filter(
+            lambda ts: all(
+                0 < a + b < a + b + c + d and 0 < a + c < a + b + c + d for a, b, c, d in ts
+            )
+        )
+    )
+    def test_pairs(self, tables):
+        n11, n10, n01, n00 = np.asarray(tables, dtype=float).T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(association, "_orthant", orthant_norm_reference)
+            want = tetrachoric_pairs_norm_reference(n11, n10, n01, n00)
+        assert np.array_equal(association._tetrachoric_pairs(n11, n10, n01, n00), want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(binary_grids())
+    def test_matrix_bit_identical(self, v):
+        m = score_matrix(
+            [f"t{i}" for i in range(v.shape[0])], [f"m{j}" for j in range(v.shape[1])], v
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(association, "_orthant", orthant_norm_reference)
+            mp.setattr(association, "_tetrachoric_pairs", tetrachoric_pairs_norm_reference)
+            want = tetrachoric_matrix(m)
+        assert np.array_equal(tetrachoric_matrix(m), want)
 
 
 class TestTetrachoricEd:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from spectradiag import ed_of_matrix, load_matrix
 from spectradiag.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -350,3 +354,61 @@ class TestRepeatability:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter with the package's source tree on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+# Runs the CLI in-process, then reports which heavy scipy modules it loaded.
+LOADED_AFTER = """
+import json, sys
+import spectradiag, spectradiag.cli
+code = spectradiag.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, "scipy.stats" in sys.modules, "scipy.special" in sys.modules]))
+"""
+
+
+class TestStartup:
+    def test_import_loads_no_scipy_stats_or_special(self, tmp_path):
+        proc = run_python(["-c", LOADED_AFTER], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ed", "--matrix", "toy.csv", "--bootstrap-iters", "50"],
+            ["ceiling", "--rho", "0.5"],
+            ["saturate", "--points", "pts.csv"],
+            ["synth", "--k", "2", "--tasks", "20", "--models", "8", "--out-matrix", "s.csv"],
+            ["trend", "--series", "series.csv"],
+            ["corr", "--suite", str(DATA / "toy_suite.csv"), "--method", "pearson"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_never_loads_scipy_stats(self, tmp_path, toy_matrix, argv):
+        n = np.arange(10.0, 151.0, 10.0)
+        (tmp_path / "pts.csv").write_text(
+            "n,ed\n" + "\n".join(f"{a},{35.4 * a / (a + 35.0)}" for a in n), encoding="utf-8"
+        )
+        (tmp_path / "series.csv").write_text(
+            "x,ed\n" + "\n".join(f"{i},{40 - 0.5 * i}" for i in range(1, 41)), encoding="utf-8"
+        )
+        proc = run_python(["-c", LOADED_AFTER, *argv], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, stats_loaded, _ = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert not stats_loaded
+
+    def test_python_dash_m_help(self, tmp_path):
+        proc = run_python(["-m", "spectradiag", "--help"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: spectradiag" in proc.stdout

@@ -179,6 +179,19 @@ class TestMannKendall:
         with pytest.raises(ValueError):
             mann_kendall([1.0, 2.0, 3.0])
 
+    def test_normal_tail_does_not_underflow(self):
+        # 40 strictly decreasing points: S = -780, var(S) = 40*39*85/18,
+        # z = (S + 1) / sd ~ -9.1, where 1 - Phi(|z|) rounds to 0.
+        from scipy.stats import norm
+
+        n = 40
+        res = mann_kendall(np.arange(float(n))[::-1])
+        var_s = n * (n - 1) * (2 * n + 5) / 18.0
+        z = (res.s + 1) / math.sqrt(var_s)
+        assert res.s == -780
+        assert res.p > 0.0
+        assert math.isclose(res.p, 2.0 * norm.sf(abs(z)), rel_tol=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
