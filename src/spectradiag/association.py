@@ -9,13 +9,12 @@ flags, and the Hamming baseline.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_io import ScoreMatrix
+from .matrix_io import ScoreMatrix, _write_csv_grid
 from .spectral import participation_ratio
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -473,12 +472,4 @@ def mean_pairwise_hamming(m: ScoreMatrix) -> float:
 
 def save_corr_csv(c: CorrMatrix, path) -> None:
     """Serialize a correlation matrix to square CSV with header ids."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *c.ids])
-        for i, row_id in enumerate(c.ids):
-            row = [row_id]
-            for j in range(len(c.ids)):
-                v = c.values[i, j]
-                row.append("" if not np.isfinite(v) else repr(float(v)))
-            writer.writerow(row)
+    _write_csv_grid(path, "id", c.ids, c.ids, c.values)

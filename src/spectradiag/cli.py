@@ -34,6 +34,7 @@ from .composite import (
 from .matrix_io import (
     BinarizationPolicy,
     MatrixValidationError,
+    _read_csv_grid,
     binarize,
     impute_missing,
     load_matrix,
@@ -88,20 +89,33 @@ def _load_preprocessed(args) -> tuple:
 
 
 def _read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if len(row) < 2:
-                continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                continue  # header row
-            xs.append(x)
-            ys.append(y)
-    if len(xs) < 2:
-        raise MatrixValidationError(f"{path}: expected two numeric columns")
-    return np.asarray(xs), np.asarray(ys)
+    """Read an ``x,<value>`` series: a header, then one numeric point per row."""
+    corner, x_ids, cols, values, missing, linenos = _read_csv_grid(path, "point", "column")
+    if not np.isnan(_floats([corner, *cols])).any():
+        raise MatrixValidationError(f"{path}:1: expected a header row")
+    if len(cols) != 1:
+        raise MatrixValidationError(f"{path}:1: expected two columns, got {len(cols) + 1}")
+    x = _floats(x_ids)
+    bad = ~np.isfinite(x) | missing[:, 0]
+    if bad.any():
+        i = int(bad.argmax())
+        raise MatrixValidationError(
+            f"{path}:{linenos[i]}: point {x_ids[i]!r} needs a numeric x and {cols[0]}"
+        )
+    if x.size < 2:
+        raise MatrixValidationError(f"{path}: expected at least two points")
+    return x, values[:, 0]
+
+
+def _floats(texts) -> np.ndarray:
+    """Each text parsed as a float, NaN where it does not parse."""
+    out = []
+    for text in texts:
+        try:
+            out.append(float(text))
+        except ValueError:
+            out.append(np.nan)
+    return np.array(out)
 
 
 def cmd_ed(args) -> int:
@@ -232,7 +246,7 @@ def cmd_trend(args) -> int:
     tid = temporal_information_density(EdSeries(x=tuple(x), ed=tuple(ed)))
     result = {"tau": mk.tau, "p": mk.p, "s": mk.s, "tid_slope": tid, "points": int(x.size)}
     _emit(_envelope("trend", args.seed, {"series": _digest(args.series)}, result), args.out)
-    _note(f"Mann-Kendall tau {mk.tau:.3f} (p {mk.p:.4f}), TID slope {tid:.5f}")
+    _note(f"Mann-Kendall tau {mk.tau:.3f} (p {mk.p:.3g}), TID slope {tid:.5f}")
     return 0
 
 
@@ -340,27 +354,26 @@ def _workflow_step3(series_path, thresholds):
 
 
 def _workflow_step4(s, candidates, thresholds):
-    from scipy.stats import rankdata
-
     suite_models = set(s.model_ids)
     shared = [m for m in candidates.model_ids if m in suite_models]
     if len(shared) < 3:
         raise MatrixValidationError(
             "candidates share fewer than three models with the suite"
         )
-    suite_rows = s.subset_models(shared).benchmark_table()
     cand_rows = candidates.subset_models(shared).benchmark_table()
+    suite_rows = s.subset_models(shared).benchmark_table()
+    k = len(cand_rows)
+    # Spearman of every candidate against every suite benchmark; a flat row's
+    # entries are NaN and never count as the maximum.
+    cross = pairwise_correlation(
+        np.vstack([cand_rows, suite_rows]), method="spearman"
+    ).values[:k, k:]
     per_candidate = {}
-    for name, row in zip(candidates.benchmark_ids, cand_rows):
-        rhos = {}
-        for bench, srow in zip(s.benchmark_ids, suite_rows):
-            if np.all(row == row[0]) or np.all(srow == srow[0]):
-                continue
-            rhos[bench] = float(
-                np.corrcoef(rankdata(row), rankdata(srow))[0, 1]
-            )
-        max_bench = max(rhos, key=rhos.get) if rhos else None
-        max_rho = rhos[max_bench] if rhos else None
+    for name, rhos in zip(candidates.benchmark_ids, cross):
+        max_bench = max_rho = None
+        if not np.isnan(rhos).all():
+            best = int(np.nanargmax(rhos))
+            max_bench, max_rho = s.benchmark_ids[best], float(rhos[best])
         per_candidate[name] = {
             "max_rho": max_rho,
             "against": max_bench,

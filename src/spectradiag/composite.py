@@ -14,12 +14,12 @@ block instead of the full N x R one.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .matrix_io import MatrixValidationError, _read_csv_grid
 from .spectral import ed_of_matrix
 
 __all__ = [
@@ -119,42 +119,21 @@ def _positions(pos: dict, ids, kind: str) -> list[int]:
 
 
 def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
-    """Load suite scores from CSV with benchmarks as rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        model_ids = [h.strip() for h in header[1:]]
-        bench_ids: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            bench_ids.append(row[0].strip())
-            vals = []
-            for col, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    raise ValueError(
-                        f"{path}:{lineno}: missing score for benchmark "
-                        f"{row[0].strip()!r}, model {model_ids[col]!r}"
-                    )
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r}"
-                    ) from None
-            rows.append(vals)
-    if not rows:
-        raise ValueError(f"{path}: no benchmark rows")
-    if len(rows) < min_benchmarks:
-        raise ValueError(
+    """Load suite scores from CSV with benchmarks as rows; no cell may be empty."""
+    _, bench_ids, model_ids, values, missing, linenos = _read_csv_grid(
+        path, "benchmark", "model"
+    )
+    if missing.any():
+        r, c = np.argwhere(missing)[0]
+        raise MatrixValidationError(
+            f"{path}:{linenos[r]}: missing score for benchmark "
+            f"{bench_ids[r]!r}, model {model_ids[c]!r}"
+        )
+    if len(bench_ids) < min_benchmarks:
+        raise MatrixValidationError(
             f"{path}: needs at least {min_benchmarks} benchmark row(s)"
         )
-    return SuiteScores(tuple(model_ids), tuple(bench_ids), np.array(rows).T)
+    return SuiteScores(tuple(model_ids), tuple(bench_ids), values.T)
 
 
 def _zscore_columns(table: np.ndarray, benchmark_ids) -> np.ndarray:

@@ -3,6 +3,11 @@
 Single source of truth for the preprocessing rules applied to task x model
 score grids: explicit missing-value masks, strict-greater binarization,
 per-model mean imputation, and degenerate-row removal.
+
+It also owns the CSV grid format, header ``<corner>,<col_id>,...`` and one
+labelled row per id: ``_read_csv_grid`` parses and rejects (with
+``file:line``) every matrix, suite and ED-series file, and
+``_write_csv_grid`` writes matrices, correlation matrices and ED series.
 """
 
 from __future__ import annotations
@@ -214,69 +219,97 @@ def load_matrix(path, format: str = "csv") -> ScoreMatrix:
     """Load a score matrix from disk.
 
     CSV layout: UTF-8, header ``task_id,<model_id_1>,...``, one row per task,
-    empty field = missing. JSON layout: object with ``task_ids``, ``model_ids``
-    and a row-major ``values`` list (null = missing).
+    empty field = missing (see ``_read_csv_grid`` for the rejection rules).
+    JSON layout: object with ``task_ids``, ``model_ids`` and a row-major
+    ``values`` list (null = missing).
     """
     if format == "csv":
-        return _load_csv(path)
+        _, task_ids, model_ids, values, missing, _ = _read_csv_grid(path, "task", "model")
+        if len(model_ids) < 2:
+            raise MatrixValidationError(f"{path}:1: header needs at least two model columns")
+        return score_matrix(task_ids, model_ids, values, missing)
     if format == "json":
         return _load_json(path)
     raise MatrixValidationError(f"unknown matrix format: {format!r}")
 
 
-def _load_csv(path) -> ScoreMatrix:
+def _read_csv_grid(path, row_kind: str, col_kind: str):
+    """Parse header ``<corner>,<col_id>,...`` and one ``<row_id>,<value>,...``
+    row per id; blank lines are skipped and an empty cell is missing.
+
+    Returns ``(corner, row_ids, col_ids, values, missing, linenos)``, NaN at
+    the missing cells. An empty file, a header without value columns, no
+    rows, a row with the wrong field count, a non-numeric or non-finite cell
+    and a duplicate row or column id raise with ``file:line``.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise MatrixValidationError(f"{path}: empty file") from None
-        if len(header) < 3:
-            raise MatrixValidationError(f"{path}: header needs at least two model columns")
-        model_ids = [h.strip() for h in header[1:]]
-        task_ids: list[str] = []
-        linenos: list[int] = []
-        rows: list[list[float]] = []
-        mask: list[list[bool]] = []
+            raise MatrixValidationError(f"{path}:1: empty file") from None
+        if len(header) < 2:
+            raise MatrixValidationError(f"{path}:1: header needs at least one {col_kind} column")
+        col_ids = header[1:]
+        _check_unique(path, col_ids, [1] * len(col_ids), col_kind)
+        row_ids, linenos, rows, holes = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not any(c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise MatrixValidationError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            task_id = row[0].strip()
-            vals: list[float] = []
-            miss: list[bool] = []
+            row_id = row[0].strip()
+            vals = []
             for col, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(np.nan)
-                    miss.append(True)
-                    continue
                 try:
                     vals.append(float(cell))
                 except ValueError:
-                    raise MatrixValidationError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} for task "
-                        f"{task_id!r}, model {model_ids[col]!r}"
-                    ) from None
-                miss.append(False)
-            task_ids.append(task_id)
+                    if cell.strip():
+                        raise MatrixValidationError(
+                            f"{path}:{lineno}: non-numeric cell {cell.strip()!r} for "
+                            f"{row_kind} {row_id!r}, {col_kind} {col_ids[col]!r}"
+                        ) from None
+                    holes.append((len(rows), col))
+                    vals.append(np.nan)
+            row_ids.append(row_id)
             linenos.append(lineno)
             rows.append(vals)
-            mask.append(miss)
     if not rows:
-        raise MatrixValidationError(f"{path}: no task rows")
-    values, missing = np.array(rows), np.array(mask)
+        raise MatrixValidationError(f"{path}:1: no {row_kind} rows after the header")
+    _check_unique(path, row_ids, linenos, row_kind)
+    values = np.array(rows)
+    missing = np.zeros(values.shape, dtype=bool)
+    if holes:
+        hole_rows, hole_cols = zip(*holes)
+        missing[hole_rows, hole_cols] = True
     bad = np.argwhere(~(np.isfinite(values) | missing))
     if bad.size:
         r, c = bad[0]
         raise MatrixValidationError(
-            f"{path}:{linenos[r]}: non-finite cell {float(values[r, c])!r} for task "
-            f"{task_ids[r]!r}, model {model_ids[c]!r}"
+            f"{path}:{linenos[r]}: non-finite cell {float(values[r, c])!r} for "
+            f"{row_kind} {row_ids[r]!r}, {col_kind} {col_ids[c]!r}"
         )
-    return score_matrix(task_ids, model_ids, values, missing)
+    return header[0], row_ids, col_ids, values, missing, linenos
+
+
+def _check_unique(path, ids: list[str], linenos: list[int], kind: str) -> None:
+    seen: set[str] = set()
+    for i, lineno in zip(ids, linenos):
+        if i in seen:
+            raise MatrixValidationError(f"{path}:{lineno}: duplicate {kind} id {i!r}")
+        seen.add(i)
+
+
+def _write_csv_grid(path, corner: str, row_ids, col_ids, values) -> None:
+    """Write the grid layout ``_read_csv_grid`` reads: NaN as an empty field,
+    every other value as ``repr(float)``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([corner, *col_ids])
+        for row_id, row in zip(row_ids, np.asarray(values, dtype=float).tolist()):
+            writer.writerow([row_id, *("" if v != v else repr(v) for v in row)])
 
 
 def _load_json(path) -> ScoreMatrix:
@@ -307,14 +340,7 @@ def _load_json(path) -> ScoreMatrix:
 def save_matrix(m: ScoreMatrix, path, format: str = "csv") -> None:
     """Write a matrix in the standard layout; round-trips exactly."""
     if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task_id", *m.model_ids])
-            for i, task in enumerate(m.task_ids):
-                row: list[str] = [task]
-                for j in range(m.n_models):
-                    row.append("" if m.missing[i, j] else repr(float(m.values[i, j])))
-                writer.writerow(row)
+        _write_csv_grid(path, "task_id", m.task_ids, m.model_ids, m.values)
         return
     if format == "json":
         payload = {

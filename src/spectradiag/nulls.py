@@ -152,13 +152,15 @@ def permutation_null(
 def significant_pcs(m: ScoreMatrix, band: NullSpectrumBand) -> int:
     """Largest r such that the leading r variance fractions all exceed the band."""
     observed = _variance_fractions(center(m.dense_values()))
-    count = 0
-    for obs, null95 in zip(observed, band.band):
-        if obs > null95:
-            count += 1
-        else:
-            break
-    return count
+    return _leading_run(observed, band.band)
+
+
+def _leading_run(observed, threshold) -> int:
+    """Count the leading entries of ``observed`` above ``threshold`` up to the
+    first that is not (both truncated to the shorter length)."""
+    n = min(len(observed), len(threshold))
+    above = np.asarray(observed[:n]) > np.asarray(threshold[:n])
+    return int(n if above.all() else above.argmin())
 
 
 def bootstrap_ed_ci(
@@ -343,23 +345,13 @@ def alternative_estimators(
     p = eig.size
 
     pa_mean = _parallel_analysis_null(values, seed, pa_replicates).mean(axis=0)
-    pa = 0
-    for obs, null in zip(eig, pa_mean):
-        if obs > null:
-            pa += 1
-        else:
-            break
+    pa = _leading_run(eig, pa_mean)
 
     kaiser = int((eig > 1.0).sum())
 
     frac = eig / eig.sum()
     broken = (1.0 / p) * np.array([np.sum(1.0 / np.arange(i, p + 1)) for i in range(1, p + 1)])
-    bs = 0
-    for obs, stick in zip(frac, broken):
-        if obs > stick:
-            bs += 1
-        else:
-            break
+    bs = _leading_run(frac, broken)
 
     cum = np.cumsum(frac)
     var80 = int(np.searchsorted(cum, 0.8 - 1e-12) + 1)

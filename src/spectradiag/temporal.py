@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composite import SuiteScores
-from .matrix_io import ScoreMatrix
+from .matrix_io import ScoreMatrix, _write_csv_grid
 from .spectral import _gram_ed, ed_of_matrix
 
 __all__ = [
@@ -54,13 +54,8 @@ class EdSeries:
             raise ValueError("x must be strictly increasing")
 
     def save_csv(self, path) -> None:
-        """Two-column ``x,ed`` CSV for external plotting."""
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "ed"])
-            writer.writerows(zip(self.x, self.ed))
+        """Two-column ``x,ed`` CSV, the series layout ``trend --series`` reads."""
+        _write_csv_grid(path, "x", self.x, ["ed"], np.array(self.ed, dtype=float)[:, None])
 
 
 def _window_ed(table: np.ndarray, standardize: bool) -> float:

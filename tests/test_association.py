@@ -22,6 +22,7 @@ from spectradiag import (
 )
 import spectradiag.association as association
 from spectradiag.association import save_corr_csv, tetrachoric_matrix
+from spectradiag.matrix_io import _read_csv_grid
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -596,3 +597,16 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,x,y,z"
         assert len(lines) == 4
+
+    def test_square_csv_reads_back_through_grid_reader(self, tmp_path):
+        rows = np.random.default_rng(1).standard_normal((4, 10))
+        rows[2] = 0.5  # degenerate row: NaN row and column
+        c = pairwise_correlation(rows, ids=["w", "x", "y", "z"])
+        path = tmp_path / "corr.csv"
+        save_corr_csv(c, path)
+        corner, row_ids, col_ids, values, missing, _ = _read_csv_grid(path, "id", "id")
+        assert corner == "id"
+        assert row_ids == col_ids == list(c.ids)
+        assert np.array_equal(values, c.values, equal_nan=True)
+        assert np.array_equal(missing, np.isnan(c.values))
+        assert missing[2].all() and missing[:, 2].all()

@@ -10,6 +10,7 @@ import pytest
 
 from spectradiag import ed_of_matrix, load_matrix
 from spectradiag.cli import main
+from spectradiag.temporal import EdSeries, mann_kendall, temporal_information_density
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -277,6 +278,28 @@ class TestWorkflow:
         assert not vet["passes_vet"]
         assert vet["outright_redundant"]
 
+    def test_candidate_max_rho_matches_rank_reference(self, capsys, tmp_path):
+        from scipy.stats import rankdata
+
+        suite_lines = (DATA / "toy_suite.csv").read_text().splitlines()
+        suite = np.array([[float(v) for v in line.split(",")[1:]] for line in suite_lines[1:]])
+        rng = np.random.default_rng(4)
+        cands = np.vstack([rng.random((3, suite.shape[1])), np.full(suite.shape[1], 0.5)])
+        p = tmp_path / "cands.csv"
+        p.write_text(
+            suite_lines[0] + "\n"
+            + "\n".join(f"c{i}," + ",".join(map(str, row)) for i, row in enumerate(cands)),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "workflow", "--suite", DATA / "toy_suite.csv", "--candidates", p)
+        assert code == 0
+        vet = json.loads(out)["result"]["step4_vet"]["candidates"]
+        for i, row in enumerate(cands[:3]):
+            rhos = [np.corrcoef(rankdata(row), rankdata(b))[0, 1] for b in suite]
+            assert abs(vet[f"c{i}"]["max_rho"] - max(rhos)) <= 1e-12
+            assert vet[f"c{i}"]["against"] == suite_lines[1 + int(np.argmax(rhos))].split(",")[0]
+        assert vet["c3"]["max_rho"] is None and vet["c3"]["against"] is None
+
     def test_identical_suite_verdict(self, capsys, tmp_path):
         p = tmp_path / "flat.csv"
         rng = np.random.default_rng(2)
@@ -323,6 +346,84 @@ class TestTrendAndSaturate:
         p.write_text("n,ed\n10,5\n20,-3\n30,6\n", encoding="utf-8")
         code, _, err = run(capsys, "saturate", "--points", p)
         assert code == 1
+
+    def test_trend_note_keeps_p_magnitude(self, capsys, tmp_path):
+        p = tmp_path / "series.csv"
+        p.write_text(
+            "x,ed\n" + "\n".join(f"{i},{40 - 0.5 * i}" for i in range(1, 41)), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "trend", "--series", p)
+        assert code == 0
+        assert json.loads(out)["result"]["p"] < 1e-18
+        assert "(p 1.12e-19)" in err
+
+    def test_ed_series_csv_reads_back_every_point(self, capsys, tmp_path):
+        series = EdSeries(x=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0), ed=(3.1, 2.9, 3.0, 2.6, 2.2, 2.25))
+        p = tmp_path / "series.csv"
+        series.save_csv(p)
+        code, out, _ = run(capsys, "trend", "--series", p)
+        assert code == 0
+        result = json.loads(out)["result"]
+        mk = mann_kendall(series.ed)
+        assert result["points"] == len(series.x)
+        assert (result["tau"], result["s"]) == (mk.tau, mk.s)
+        assert result["tid_slope"] == temporal_information_density(series)
+
+
+def _grid_text(header, ids, defect):
+    """CSV grid text whose second row, file line 3, carries ``defect``."""
+    rng = np.random.default_rng(0)
+    rows = [[i, *(f"{v:.3f}" for v in rng.random(len(header) - 1))] for i in ids]
+    bad = rows[1]
+    if defect == "ragged":
+        del bad[-1]
+    elif defect == "duplicate id":
+        bad[0] = rows[0][0]
+    else:
+        bad[2] = {"non-numeric": "oops", "inf": "inf", "blank": ""}[defect]
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+
+
+GRID_DEFECTS = ("ragged", "non-numeric", "inf", "blank", "duplicate id")
+SERIES_DEFECTS = {
+    "non-numeric value": ("x,ed\n1,3.0\n2,2.8\n3,oops\n4,2.1\n", 4),
+    "non-numeric x": ("x,ed\n1,3.0\nsecond,2.8\n3,2.5\n4,2.1\n", 3),
+    "one-field row": ("x,ed\n1,3.0\n2,2.8\n3\n4,2.1\n", 4),
+    "missing value": ("x,ed\n1,3.0\n2,\n3,2.5\n4,2.1\n", 3),
+    "headerless": ("1,3.0\n2,2.8\n3,2.5\n4,2.1\n", 1),
+}
+
+
+def _malformed_case(kind, defect, tmp_path):
+    """argv and file name for one malformed input of the grid-file table."""
+    if kind == "series":
+        text, line = SERIES_DEFECTS[defect]
+        (tmp_path / "series.csv").write_text(text, encoding="utf-8")
+        return ["trend", "--series", tmp_path / "series.csv"], f"series.csv:{line}:"
+    if kind == "suite":
+        header = ["benchmark", "m1", "m2", "m3", "m4"]
+        argv = ["suite", "--suite", tmp_path / "suite.csv"]
+    else:
+        header = (DATA / "toy_suite.csv").read_text().splitlines()[0].split(",")
+        cands = tmp_path / "cands.csv"
+        argv = ["workflow", "--suite", DATA / "toy_suite.csv", "--candidates", cands]
+    argv[-1].write_text(_grid_text(header, ["a", "b", "c"], defect), encoding="utf-8")
+    return argv, f"{argv[-1].name}:3:"
+
+
+class TestGridFileContract:
+    @pytest.mark.parametrize(
+        "kind, defect",
+        [("suite", d) for d in GRID_DEFECTS]
+        + [("candidates", d) for d in GRID_DEFECTS]
+        + [("series", d) for d in SERIES_DEFECTS],
+    )
+    def test_malformed_file_exits_2_with_file_line(self, capsys, tmp_path, kind, defect):
+        argv, where = _malformed_case(kind, defect, tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert where in err
 
 
 class TestCompress:

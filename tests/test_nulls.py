@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectradiag import (
     IrtSpec,
@@ -19,7 +21,7 @@ from spectradiag import (
     significant_pcs,
     split_half_reliability,
 )
-from spectradiag.nulls import _parallel_analysis_null
+from spectradiag.nulls import _leading_run, _parallel_analysis_null
 
 
 def binary_from(arr):
@@ -312,6 +314,26 @@ class TestAlternativeEstimators:
         m = score_matrix(["t1", "t2", "t3"], ["a", "b"], [[1, 1], [0, 1], [1, 1]])
         with pytest.raises(ValueError, match="degenerate"):
             alternative_estimators(m)
+
+
+def leading_run_reference(observed, threshold):
+    count = 0
+    for obs, bound in zip(observed, threshold):
+        if obs > bound:
+            count += 1
+        else:
+            break
+    return count
+
+
+class TestLeadingRun:
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=8),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=8),
+    )
+    def test_matches_loop_reference(self, observed, threshold):
+        got = _leading_run(np.array(observed), np.array(threshold))
+        assert got == leading_run_reference(observed, threshold)
 
 
 class TestEdReport:
