@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .association import _kendall_tau_b
 from .matrix_io import ScoreMatrix
 from .spectral import center
 
@@ -265,17 +266,16 @@ def baseline_select(
 
 
 def ranking_fidelity(m: ScoreMatrix, selected) -> float:
-    """Tau-b between model rankings by mean score on the subset vs all tasks."""
-    from scipy.stats import kendalltau
+    """Tau-b between model rankings by mean score on the subset vs all tasks.
 
+    One O(T N) pass for the means, then one O(N log N) tau-b.
+    """
     values = m.dense_values()
     idx = [m.task_index(t) for t in selected]
     if not idx:
         raise ValueError("selection is empty")
     sub_means = values[idx].mean(axis=0)
-    full_means = values.mean(axis=0)
-    tau = kendalltau(sub_means, full_means).statistic
-    return float(tau)
+    return float(_kendall_tau_b(sub_means[None, :], values.mean(axis=0))[0])
 
 
 @dataclass(frozen=True)
@@ -295,20 +295,32 @@ def compression_curve(
     seed: int = 0,
     fractions=COMPRESSION_FRACTIONS,
 ) -> CompressionCurve:
-    """Smallest task fraction whose mean random-subset fidelity hits the target."""
+    """Smallest task fraction whose mean random-subset fidelity hits the target.
+
+    Trial ``t`` of fraction ``i`` draws its rows from ``default_rng((seed, i,
+    t))``. Each fraction's trial means form one trials x N stack scored by a
+    single tau-b call, so R = trials x fractions replicates cost
+    O(R (f T N + N log N)) for the mean retained fraction f, after one copy
+    of the grid.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    bad = [frac for frac in fractions if not 0.0 < frac <= 1.0]
+    if bad:
+        raise ValueError(f"fractions must lie in (0, 1], got {bad[0]}")
     values = m.dense_values()
+    full_means = values.mean(axis=0)
     n_tasks = m.n_tasks
     curve = []
     fraction_needed = None
     for fi, frac in enumerate(fractions):
         size = max(1, round(frac * n_tasks))
-        taus = []
+        sub_means = np.empty((trials, m.n_models))
         for trial in range(trials):
             rng = np.random.default_rng((seed, fi, trial))
             rows = np.sort(rng.choice(n_tasks, size=size, replace=False))
-            sel = [m.task_ids[r] for r in rows]
-            taus.append(ranking_fidelity(m, sel))
-        mean_tau = float(np.mean(taus))
+            sub_means[trial] = values[rows].mean(axis=0)
+        mean_tau = float(np.mean(_kendall_tau_b(sub_means, full_means)))
         curve.append((float(frac), mean_tau))
         if fraction_needed is None and mean_tau >= tau_target:
             fraction_needed = float(frac)

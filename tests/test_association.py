@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.stats import norm, pearsonr, spearmanr
+from scipy.stats import kendalltau, norm, pearsonr, spearmanr
 
 from spectradiag import (
     correlation_ci,
@@ -232,7 +232,84 @@ class TestPairwiseAgainstScipy:
                     assert abs(c.values[i, j] - want) < 1e-12
 
 
+def kendall_rows_reference(a, b):
+    """Per-row scipy oracle for the batched tau-b kernel."""
+    return np.array(
+        [kendalltau(row, b if b.ndim == 1 else b[r]).statistic for r, row in enumerate(a)]
+    )
+
+
+def kendall_ci_reference(x, y, iterations, level=0.95, seed=0):
+    """Per-resample loop: one scipy tau-b per non-degenerate resample."""
+    n = x.size
+    stats = []
+    for i in range(iterations):
+        idx = np.random.default_rng((seed, i)).integers(0, n, size=n)
+        xs, ys = x[idx], y[idx]
+        if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+            continue
+        stats.append(float(kendalltau(xs, ys).statistic))
+    alpha = (1.0 - level) / 2.0
+    low, high = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return float(low), float(high)
+
+
+@st.composite
+def tied_stacks(draw):
+    """Small-integer rows with heavy ties, against one vector or a paired stack."""
+    n = draw(st.integers(2, 25))
+    rows = draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)
+    a = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float)
+    if draw(st.booleans()):
+        b = np.array(draw(row), dtype=float)
+    else:
+        b = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float)
+    return a, b
+
+
+class TestKendallKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_stacks())
+    def test_matches_scipy_per_row(self, stack):
+        a, b = stack
+        got = association._kendall_tau_b(a, b)
+        assert np.array_equal(got, kendall_rows_reference(a, b), equal_nan=True)
+
+    def test_constant_rows_and_nan_cells_give_nan(self):
+        a = np.array([[2.0, 2, 2, 2], [1, 3, 2, 4], [1, np.nan, 2, 4]])
+        got = association._kendall_tau_b(a, np.array([1.0, 2, 3, 4]))
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        assert got[1] == kendalltau(a[1], [1, 2, 3, 4]).statistic
+        assert np.isnan(association._kendall_tau_b(a[1:2], np.full(4, 5.0))).all()
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_chunks_match_one_pass(self, monkeypatch, paired):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(40, 33)).round(1)
+        b = rng.normal(size=(40, 33) if paired else 33).round(1)
+        want = kendall_rows_reference(a, b)
+        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", 100)
+        assert np.array_equal(association._kendall_tau_b(a, b), want)
+
+
 class TestCorrelationCi:
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_kendall_equals_per_resample_loop(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 3, n).astype(float)
+        y = x + rng.integers(0, 2, n)
+        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", 7 * n)
+        got = correlation_ci(x, y, method="kendall", iterations=300, seed=2)
+        assert got == kendall_ci_reference(x, y, 300, seed=2)
+
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_no_iterations_rejected(self, iterations):
+        x = np.arange(10.0)
+        with pytest.raises(ValueError, match=f"iterations must be at least 1, got {iterations}"):
+            correlation_ci(x, x, iterations=iterations)
+
     def test_perfect_line_collapses(self):
         x = np.linspace(0, 1, 50)
         low, high = correlation_ci(x, x, iterations=200, seed=0)

@@ -438,6 +438,13 @@ class TestCompress:
         assert lines[0] == "fraction,mean_tau"
         assert len(lines) > 5
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_rejected(self, capsys, toy_matrix, trials):
+        code, out, err = run(capsys, "compress", "--matrix", toy_matrix, "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert f"analysis rejected: trials must be at least 1, got {trials}" in err
+
 
 class TestRepeatability:
     def test_ed_bootstrap_rerun_byte_identical(self, capsys, toy_matrix):
@@ -492,6 +499,8 @@ class TestStartup:
             ["synth", "--k", "2", "--tasks", "20", "--models", "8", "--out-matrix", "s.csv"],
             ["trend", "--series", "series.csv"],
             ["corr", "--suite", str(DATA / "toy_suite.csv"), "--method", "pearson"],
+            ["select", "--matrix", "toy.csv", "--k", "2"],
+            ["compress", "--matrix", "toy.csv", "--trials", "3"],
         ],
         ids=lambda argv: argv[0],
     )

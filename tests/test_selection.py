@@ -17,7 +17,12 @@ from spectradiag import (
     score_matrix,
     submodularity_probe,
 )
-from spectradiag.selection import _GramEvaluator, _k_medoids, _profile_distances
+from spectradiag.selection import (
+    COMPRESSION_FRACTIONS,
+    _GramEvaluator,
+    _k_medoids,
+    _profile_distances,
+)
 
 
 def subset_ed_reference(values, rows) -> float:
@@ -25,6 +30,27 @@ def subset_ed_reference(values, rows) -> float:
     sub = values[list(rows)]
     lam = np.linalg.svd(sub - sub.mean(axis=1, keepdims=True), compute_uv=False) ** 2
     return float(lam.sum() ** 2 / np.dot(lam, lam))
+
+
+def compression_curve_reference(m, tau_target=0.95, trials=20, seed=0, fractions=None):
+    """Per-trial loop: one subset-mean scipy tau-b per trial, each from its
+    own copy of the grid; returns the (fraction, mean tau) curve."""
+    from scipy.stats import kendalltau
+
+    fractions = COMPRESSION_FRACTIONS if fractions is None else fractions
+    n_tasks = m.n_tasks
+    curve = []
+    for fi, frac in enumerate(fractions):
+        size = max(1, round(frac * n_tasks))
+        taus = []
+        for trial in range(trials):
+            rng = np.random.default_rng((seed, fi, trial))
+            rows = np.sort(rng.choice(n_tasks, size=size, replace=False))
+            values = m.dense_values()
+            idx = [m.task_index(m.task_ids[r]) for r in rows]
+            taus.append(float(kendalltau(values[idx].mean(axis=0), values.mean(axis=0)).statistic))
+        curve.append((float(frac), float(np.mean(taus))))
+    return tuple(curve)
 
 
 def submodularity_reference(values, samples, seed):
@@ -298,6 +324,36 @@ class TestCompression:
         curve = compression_curve(m, tau_target=1.01, trials=4, seed=0)
         assert not curve.reached
         assert curve.fraction_needed == 1.0
+
+    @pytest.mark.parametrize("kind", ["binary", "continuous"])
+    def test_equals_per_trial_loop(self, kind):
+        rng = np.random.default_rng(5)
+        values = rng.random((90, 40))
+        if kind == "binary":
+            values = (values < rng.uniform(0.3, 0.7, (90, 1))).astype(float)
+        m = binary(values)
+        curve = compression_curve(m, trials=7, seed=4)
+        assert curve.curve == compression_curve_reference(m, trials=7, seed=4)
+
+    def test_equals_per_trial_loop_with_undefined_trials(self):
+        # three tasks and four models: some single-task subsets rank every
+        # model equally, so those trials' tau is NaN, as is their mean
+        m = binary(np.array([[1.0, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+        fractions = (0.3, 0.7, 1.0)
+        curve = compression_curve(m, trials=6, seed=1, fractions=fractions)
+        ref = compression_curve_reference(m, trials=6, seed=1, fractions=fractions)
+        assert math.isnan(curve.curve[0][1])
+        assert np.array_equal(np.array(curve.curve), np.array(ref), equal_nan=True)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, pool, trials):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            compression_curve(pool, trials=trials)
+
+    @pytest.mark.parametrize("frac", [0.0, -0.1, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, pool, frac):
+        with pytest.raises(ValueError, match=r"fractions must lie in \(0, 1\]"):
+            compression_curve(pool, trials=2, fractions=(0.5, frac))
 
     def test_full_fraction_tau_one(self, pool):
         curve = compression_curve(pool, trials=4, seed=2)
