@@ -5,7 +5,9 @@ estimation from 2x2 pass/fail tables (latent bivariate-normal model solved for
 all pairs at once by Newton's method safeguarded by bisection on a bracket),
 average-linkage clustering on 1-|r| distances, redundancy/complementarity
 flags, and the Hamming baseline.
-"""
+
+Every paired correlation, one pair or R pairs, goes through ``_paired_corr``;
+only Pearson and Spearman matrices take the all-pairs Gram product instead."""
 
 from __future__ import annotations
 
@@ -96,18 +98,6 @@ class RedundancyFlags:
     complementary: tuple[tuple[str, str, float], ...]
 
 
-def _pair_corr(x: np.ndarray, y: np.ndarray, method: str) -> float:
-    if method == "pearson":
-        return float(np.corrcoef(x, y)[0, 1])
-    from scipy.stats import kendalltau, rankdata
-
-    if method == "spearman":
-        return float(np.corrcoef(rankdata(x), rankdata(y))[0, 1])
-    if method == "kendall":
-        return float(kendalltau(x, y).statistic)
-    raise ValueError(f"unknown correlation method: {method!r}")
-
-
 def _run_starts(s: np.ndarray) -> np.ndarray:
     """Flags marking where each run of equal values starts in sorted rows."""
     new = np.ones(s.shape, dtype=bool)
@@ -193,6 +183,34 @@ def _kendall_tau_b(a, b) -> np.ndarray:
     return out
 
 
+def _centred(rows: np.ndarray, method: str) -> np.ndarray:
+    """Rows of a 2-D stack centred, after average ranking under Spearman."""
+    if method == "spearman":
+        from scipy.stats import rankdata
+
+        rows = rankdata(rows, axis=1)
+    elif method != "pearson":
+        raise ValueError(f"unknown correlation method: {method!r}")
+    return rows - rows.mean(axis=1, keepdims=True)
+
+
+def _paired_corr(a, b, method: str) -> np.ndarray:
+    """Correlation of each row of ``a`` with ``b``, one vector or a paired stack;
+    NaN where either side is constant. Kendall is ``_kendall_tau_b``; Pearson
+    and Spearman normalise after the product, as ``np.corrcoef`` does."""
+    if method == "kendall":
+        return _kendall_tau_b(a, b)
+    a = np.asarray(a, dtype=float)
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    za, zb = _centred(a, method), _centred(b, method)
+    sx, sy = np.sqrt((za * za).sum(axis=1)), np.sqrt((zb * zb).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (za * zb).sum(axis=1) / sx / sy
+    # a constant row can centre to rounding noise, so test it directly
+    flat = np.all(a == a[:, :1], axis=1) | np.all(b == b[:, :1], axis=1)
+    return np.clip(np.where(flat, np.nan, r), -1.0, 1.0)
+
+
 def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix:
     """Correlation matrix over the rows of a p x n score table.
 
@@ -212,13 +230,12 @@ def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix
     flat = np.all(table == table[:, :1], axis=1)
     live = np.flatnonzero(~flat)
     values = np.full((p, p), np.nan)
-    if method in ("pearson", "spearman"):
-        data = table[live]
-        if method == "spearman":
-            from scipy.stats import rankdata
-
-            data = rankdata(data, axis=1)
-        z = data - data.mean(axis=1, keepdims=True)
+    if method == "kendall":
+        i, j = np.triu_indices(live.size, 1)
+        i, j = live[i], live[j]
+        values[i, j] = values[j, i] = _paired_corr(table[i], table[j], method)
+    else:
+        z = _centred(table[live], method)
         # Normalise after the product, as np.corrcoef does: centred ranks are
         # multiples of 1/2, so their products sum exactly in any order and
         # small or zero Spearman values keep full relative precision.
@@ -228,13 +245,8 @@ def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix
         # mirror the upper triangle so the matrix is exactly symmetric
         r = np.triu(np.clip(r, -1.0, 1.0), 1)
         r += r.T
-        np.fill_diagonal(r, 1.0)
         values[np.ix_(live, live)] = r
-    else:
-        values[live, live] = 1.0
-        for a, i in enumerate(live):
-            for j in live[a + 1 :]:
-                values[i, j] = values[j, i] = _pair_corr(table[i], table[j], method)
+    values[live, live] = 1.0
     degenerate = tuple(ids[i] for i in np.flatnonzero(flat))
     return CorrMatrix(tuple(ids), values, method, degenerate)
 
@@ -250,10 +262,10 @@ def correlation_ci(
     """Percentile bootstrap interval for a pairwise correlation.
 
     Resample ``i`` draws its indices from ``default_rng((seed, i))`` and is
-    skipped when either side is constant. Kendall scores each chunk of kept
-    resamples in one tau-b call, O(R n log n) for R = ``iterations``;
-    Pearson and Spearman score one resample at a time, O(R n) and
-    O(R n log n).
+    skipped when either side is constant. Each chunk of kept resamples is
+    scored in one ``_paired_corr`` call: O(R n) for Pearson and
+    O(R n log n) for Spearman and Kendall, R = ``iterations``, in
+    O(``_KENDALL_CHUNK_CELLS``) memory per chunk.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -273,11 +285,7 @@ def correlation_ci(
         )
         xs, ys = x[idx], y[idx]
         live = ~(np.all(xs == xs[:, :1], axis=1) | np.all(ys == ys[:, :1], axis=1))
-        xs, ys = xs[live], ys[live]
-        if method == "kendall":
-            stats.extend(_kendall_tau_b(xs, ys))
-        else:
-            stats.extend(_pair_corr(a, b, method) for a, b in zip(xs, ys))
+        stats.extend(_paired_corr(xs[live], ys[live], method))
     if not stats:
         raise ValueError("all bootstrap resamples were degenerate")
     alpha = (1.0 - level) / 2.0
@@ -299,12 +307,9 @@ def partial_correlation(x, y, z, method: str = "spearman") -> float:
         raise ValueError("partial correlation needs at least ten observations")
     if np.all(z == z[0]):
         raise ValueError("covariate z is constant")
-    if method == "spearman":
-        from scipy.stats import rankdata
-
-        x, y, z = rankdata(x), rankdata(y), rankdata(z)
-    elif method != "pearson":
+    if method not in ("pearson", "spearman"):
         raise ValueError(f"unsupported method for partial correlation: {method!r}")
+    x, y, z = _centred(np.vstack([x, y, z]), method)
     design = np.column_stack([np.ones_like(z), z])
     rx = x - design @ np.linalg.lstsq(design, x, rcond=None)[0]
     ry = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
@@ -312,7 +317,7 @@ def partial_correlation(x, y, z, method: str = "spearman") -> float:
     tol = 1e-8 * max(np.std(x), np.std(y), 1.0)
     if np.std(rx) < tol or np.std(ry) < tol:
         return 0.0
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return float(_paired_corr(rx[None], ry, "pearson")[0])
 
 
 def stratified_correlation(x, y, strata, min_reliable: int = 5, levels=None):
@@ -336,10 +341,7 @@ def stratified_correlation(x, y, strata, min_reliable: int = 5, levels=None):
         if n == 0:
             warnings.warn(f"stratum {label!r} is empty; omitted")
             continue
-        if n < 3 or np.all(x[mask] == x[mask][0]) or np.all(y[mask] == y[mask][0]):
-            rho = float("nan")
-        else:
-            rho = _pair_corr(x[mask], y[mask], "spearman")
+        rho = float(_paired_corr(x[mask][None], y[mask], "spearman")[0]) if n >= 3 else np.nan
         out.append((label, n, rho, n >= min_reliable))
     return out
 

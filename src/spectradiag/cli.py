@@ -9,9 +9,9 @@ go to stderr, and reports embed content digests of their inputs. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,6 +35,7 @@ from .matrix_io import (
     BinarizationPolicy,
     MatrixValidationError,
     _read_csv_grid,
+    _write_csv_grid,
     binarize,
     impute_missing,
     load_matrix,
@@ -54,8 +55,17 @@ def _digest(path: str) -> dict:
         return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
+def _json_safe(obj):
+    """``obj`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(_json_safe(payload), indent=2, allow_nan=False)
     sys.stdout.write(text + "\n")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -148,7 +158,7 @@ def cmd_corr(args) -> int:
     result = {
         "ids": list(c.ids),
         "method": c.method,
-        "values": [[None if not np.isfinite(v) else v for v in row] for row in c.values],
+        "values": c.values.tolist(),
         "degenerate_ids": list(c.degenerate_ids),
         "redundant_pairs": [list(p) for p in flags.redundant],
         "complementary_pairs": [list(p) for p in flags.complementary],
@@ -209,10 +219,8 @@ def cmd_compress(args) -> int:
         "preprocessing": steps,
     }
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fraction", "mean_tau"])
-            writer.writerows(curve.curve)
+        grid = np.array(curve.curve)
+        _write_csv_grid(args.csv, "fraction", grid[:, 0], ["mean_tau"], grid[:, 1:])
     _emit(_envelope("compress", args.seed, {"matrix": _digest(args.matrix)}, result), args.out)
     _note(
         f"fraction needed for tau >= {curve.tau_target}: "

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .association import _kendall_tau_b
 from .matrix_io import MatrixValidationError, _read_csv_grid
 from .spectral import ed_of_matrix
 
@@ -178,8 +179,6 @@ def composite_ranking(s: SuiteScores, weights) -> list[str]:
 
 def kendall_tau(rank_a, rank_b) -> float:
     """Tie-corrected rank agreement between two orderings over shared ids."""
-    from scipy.stats import kendalltau
-
     in_b = set(rank_b)
     shared = [i for i in rank_a if i in in_b]
     if len(shared) < 2:
@@ -188,7 +187,7 @@ def kendall_tau(rank_a, rank_b) -> float:
     pos_b = {m: i for i, m in enumerate(rank_b)}
     a = [pos_a[m] for m in shared]
     b = [pos_b[m] for m in shared]
-    return float(kendalltau(a, b).statistic)
+    return float(_kendall_tau_b([a], b)[0])
 
 
 def composite_ceiling(rho: float) -> float:

@@ -195,13 +195,10 @@ class BinarizationPolicy:
     """Strict-greater pass/fail thresholding; idempotent on binary input."""
 
     threshold: float = 0.5
-    rule: str = "strict-greater"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise MatrixValidationError("threshold must lie strictly inside (0, 1)")
-        if self.rule != "strict-greater":
-            raise MatrixValidationError(f"unsupported binarization rule: {self.rule!r}")
 
 
 @dataclass(frozen=True)

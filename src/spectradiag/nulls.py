@@ -257,15 +257,11 @@ def split_half_reliability(
         perm = rng.permutation(m.n_models)
         load_a = principal_components(center(values[:, perm[:half]]), k).components
         load_b = principal_components(center(values[:, perm[half:]]), k).components
-        corr = np.zeros((k, k))
-        for i in range(k):
-            for j in range(k):
-                ai, bj = load_a[:, i], load_b[:, j]
-                denom = np.linalg.norm(ai - ai.mean()) * np.linalg.norm(bj - bj.mean())
-                if denom > 0.0:
-                    corr[i, j] = abs(
-                        np.dot(ai - ai.mean(), bj - bj.mean()) / denom
-                    )
+        za = load_a - load_a.mean(axis=0)
+        zb = load_b - load_b.mean(axis=0)
+        denom = np.outer(np.linalg.norm(za, axis=0), np.linalg.norm(zb, axis=0))
+        # a zero-norm loading correlates 0 with everything
+        corr = np.abs(za.T @ zb) / np.where(denom > 0.0, denom, np.inf)
         matched = np.zeros(k)
         free_a = set(range(k))
         free_b = set(range(k))

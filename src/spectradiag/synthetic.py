@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .association import _paired_corr
 from .matrix_io import ScoreMatrix, score_matrix
 from .spectral import ed_of_matrix
 
@@ -135,8 +136,6 @@ def rank_recovery_report(
     The per-seed Spearman correlation between k and ED is averaged across
     seeds; overestimate ratios are mean ED divided by the true k.
     """
-    from scipy.stats import spearmanr
-
     ks = tuple(ks)
     eds = np.empty((seeds, len(ks)))
     for ki, k in enumerate(ks):
@@ -150,9 +149,7 @@ def rank_recovery_report(
                 seed=int(np.random.default_rng((k, s)).integers(2**31)),
             )
             eds[s, ki] = ed_of_matrix(gen_irt_matrix(spec).dense_values())
-    per_seed = tuple(
-        float(spearmanr(ks, eds[s]).statistic) for s in range(seeds)
-    )
+    per_seed = tuple(_paired_corr(eds, ks, "spearman").tolist())
     mean_ed = {k: float(eds[:, ki].mean()) for ki, k in enumerate(ks)}
     return RankRecoveryReport(
         spearman_rho=float(np.mean(per_seed)),

@@ -294,6 +294,63 @@ class TestKendallKernel:
         assert np.array_equal(association._kendall_tau_b(a, b), want)
 
 
+def paired_rows_reference(a, b, method):
+    """Per-row scipy oracle for ``_paired_corr``; None for a constant side."""
+    ref = {"pearson": pearsonr, "spearman": spearmanr, "kendall": kendalltau}[method]
+    out = []
+    for r, row in enumerate(a):
+        other = b if b.ndim == 1 else b[r]
+        flat = np.all(row == row[0]) or np.all(other == other[0])
+        out.append(None if flat else ref(row, other).statistic)
+    return out
+
+
+class TestPairedCorr:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_stacks(), st.sampled_from(["pearson", "spearman", "kendall"]))
+    def test_matches_scipy_per_row(self, stack, method):
+        a, b = stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = association._paired_corr(a, b, method)
+        assert got.shape == (len(a),)
+        for value, want in zip(got, paired_rows_reference(a, b, method)):
+            if want is None:
+                assert np.isnan(value)
+            else:
+                assert abs(value - want) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_constant_rows_give_nan_without_warning(self, method):
+        # 0.1 * 3 / 3 is not 0.1, so centring leaves rounding noise behind
+        a = np.array([[0.1, 0.1, 0.1], [1.0, 2.0, 4.0], [3.0, 1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = association._paired_corr(a, np.array([1.0, 2.0, 3.0]), method)
+            flat_b = association._paired_corr(a, np.full(3, 0.1), method)
+        assert np.isnan(got[0]) and np.isfinite(got[1:]).all()
+        assert np.isnan(flat_b).all()
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown correlation method"):
+            association._paired_corr(np.ones((1, 3)), np.arange(3.0), "tau")
+
+
+def corr_ci_reference(x, y, iterations, statistic, level=0.95, seed=0):
+    """Per-resample loop: one scipy statistic per non-degenerate resample."""
+    n = x.size
+    stats = []
+    for i in range(iterations):
+        idx = np.random.default_rng((seed, i)).integers(0, n, size=n)
+        xs, ys = x[idx], y[idx]
+        if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+            continue
+        stats.append(float(statistic(xs, ys).statistic))
+    alpha = (1.0 - level) / 2.0
+    low, high = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return float(low), float(high)
+
+
 class TestCorrelationCi:
     @pytest.mark.parametrize("n", [6, 60])
     def test_kendall_equals_per_resample_loop(self, monkeypatch, n):
@@ -303,6 +360,18 @@ class TestCorrelationCi:
         monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", 7 * n)
         got = correlation_ci(x, y, method="kendall", iterations=300, seed=2)
         assert got == kendall_ci_reference(x, y, 300, seed=2)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_pearson_spearman_equal_per_resample_loop(self, monkeypatch, method, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 3, n).astype(float)
+        y = x + rng.integers(0, 2, n)
+        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", 7 * n)
+        got = correlation_ci(x, y, method=method, iterations=300, seed=2)
+        ref = pearsonr if method == "pearson" else spearmanr
+        want = corr_ci_reference(x, y, 300, ref, seed=2)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("iterations", [0, -5])
     def test_no_iterations_rejected(self, iterations):

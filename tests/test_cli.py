@@ -10,6 +10,7 @@ import pytest
 
 from spectradiag import ed_of_matrix, load_matrix
 from spectradiag.cli import main
+from spectradiag.matrix_io import _read_csv_grid
 from spectradiag.temporal import EdSeries, mann_kendall, temporal_information_density
 
 DATA = Path(__file__).parent / "data"
@@ -446,6 +447,41 @@ class TestCompress:
         assert f"analysis rejected: trials must be at least 1, got {trials}" in err
 
 
+    def test_csv_reads_back_through_grid_reader(self, capsys, toy_matrix, tmp_path):
+        dest = tmp_path / "curve.csv"
+        code, out, _ = run(
+            capsys, "compress", "--matrix", toy_matrix, "--trials", "3", "--csv", dest
+        )
+        assert code == 0
+        curve = json.loads(out)["result"]["curve"]
+        corner, fractions, cols, values, missing, _ = _read_csv_grid(dest, "point", "column")
+        assert (corner, cols) == ("fraction", ["mean_tau"])
+        assert [float(f) for f in fractions] == [f for f, _ in curve]
+        # every tau on this grid is undefined: an empty field, read back as missing
+        assert all(t is None for _, t in curve)
+        assert missing.all() and np.isnan(values).all()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [["select", "--k", "2"], ["compress", "--trials", "3"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_undefined_tau_is_null(self, capsys, toy_matrix, argv):
+        code, out, _ = run(capsys, argv[0], "--matrix", toy_matrix, *argv[1:])
+        assert code == 0
+        result = json.loads(out, parse_constant=_reject_constant)["result"]
+        if argv[0] == "select":
+            assert result["tau_vs_full"] is None
+        else:
+            assert [t for _, t in result["curve"]] == [None] * len(result["curve"])
+
+
 class TestRepeatability:
     def test_ed_bootstrap_rerun_byte_identical(self, capsys, toy_matrix):
         argv = ("ed", "--matrix", toy_matrix, "--seed", "3", "--bootstrap-iters", "50")
@@ -501,6 +537,11 @@ class TestStartup:
             ["corr", "--suite", str(DATA / "toy_suite.csv"), "--method", "pearson"],
             ["select", "--matrix", "toy.csv", "--k", "2"],
             ["compress", "--matrix", "toy.csv", "--trials", "3"],
+            ["suite", "--suite", str(DATA / "toy_suite.csv")],
+            pytest.param(
+                ["corr", "--suite", str(DATA / "toy_suite.csv"), "--method", "kendall"],
+                id="corr-kendall",
+            ),
         ],
         ids=lambda argv: argv[0],
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import kendalltau
 
 from spectradiag import (
     SuiteScores,
@@ -151,6 +152,33 @@ class TestKendallTau:
 
     def test_shared_subset_only(self):
         assert kendall_tau(list("abcx"), list("abcy")) == 1.0
+
+
+def kendall_tau_reference(rank_a, rank_b):
+    """scipy tau-b of the positions of the shared ids in both orderings."""
+    shared = [i for i in rank_a if i in rank_b]
+    a = [rank_a.index(m) for m in shared]
+    b = [rank_b.index(m) for m in shared]
+    return float(kendalltau(a, b).statistic)
+
+
+class TestKendallTauAgainstScipy:
+    @settings(max_examples=100, deadline=None)
+    @given(st.permutations(range(12)), st.permutations(range(12)), st.integers(2, 12))
+    def test_equals_scipy(self, perm_a, perm_b, keep):
+        rank_a = [f"m{i}" for i in perm_a]
+        rank_b = [f"m{i}" for i in perm_b[:keep]] + ["x"]
+        assert kendall_tau(rank_a, rank_b) == kendall_tau_reference(rank_a, rank_b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_leave_one_out_equals_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        s = make_suite(rng.normal(size=(60, 5)).round(1))
+        full = composite_ranking(s, np.ones(5))
+        for bench, rec in leave_one_out(s).items():
+            keep = [b for b in s.benchmark_ids if b != bench]
+            reduced = composite_ranking(s.subset_benchmarks(keep), np.ones(4))
+            assert rec.tau_vs_full == kendall_tau_reference(full, reduced)
 
 
 class TestCeiling:

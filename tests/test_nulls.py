@@ -22,6 +22,7 @@ from spectradiag import (
     split_half_reliability,
 )
 from spectradiag.nulls import _leading_run, _parallel_analysis_null
+from spectradiag.spectral import center, principal_components
 
 
 def binary_from(arr):
@@ -195,7 +196,60 @@ class TestMatchedDimension:
         assert a == matched_dimension_ed(noise_matrix, 60, 20, trials=5, seed=3)
 
 
+def split_half_reference(m, k, splits=50, seed=0):
+    """Split-half reliability with one loading correlation per (i, j) pair."""
+    values = m.dense_values()
+    half = m.n_models // 2
+    k = min(k, half, m.n_tasks)
+    sums = np.zeros(k)
+    for s in range(splits):
+        perm = np.random.default_rng((seed, s)).permutation(m.n_models)
+        load_a = principal_components(center(values[:, perm[:half]]), k).components
+        load_b = principal_components(center(values[:, perm[half:]]), k).components
+        corr = np.zeros((k, k))
+        for i in range(k):
+            for j in range(k):
+                ai, bj = load_a[:, i], load_b[:, j]
+                denom = np.linalg.norm(ai - ai.mean()) * np.linalg.norm(bj - bj.mean())
+                if denom > 0.0:
+                    corr[i, j] = abs(np.dot(ai - ai.mean(), bj - bj.mean()) / denom)
+        matched = np.zeros(k)
+        free_a, free_b = set(range(k)), set(range(k))
+        for _ in range(k):
+            best = max(
+                ((corr[i, j], i, j) for i in free_a for j in free_b),
+                key=lambda t: (t[0], -t[1], -t[2]),
+            )
+            matched[best[1]] = best[0]
+            free_a.discard(best[1])
+            free_b.discard(best[2])
+        sums += matched
+    return sums / splits
+
+
 class TestSplitHalf:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_pairwise_loop(self, seed):
+        m = gen_irt_matrix(IrtSpec(k=3, tasks=60, models=24, seed=seed))
+        got = split_half_reliability(m, k=4, splits=8, seed=seed)
+        want = split_half_reference(m, k=4, splits=8, seed=seed)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_zero_norm_loading_scores_zero(self, monkeypatch):
+        import spectradiag.nulls as nulls
+
+        real = nulls.principal_components
+
+        def flat_second(x, k):
+            pcs = real(x, k)
+            pcs.components[:, 1] = 0.5
+            return pcs
+
+        monkeypatch.setattr(nulls, "principal_components", flat_second)
+        m = gen_irt_matrix(IrtSpec(k=2, tasks=30, models=20, seed=4))
+        rel = split_half_reliability(m, k=3, splits=4, seed=0)
+        assert rel[1] == 0.0
+
     def test_needs_ten_models(self, tiny_binary):
         with pytest.raises(ValueError):
             split_half_reliability(tiny_binary, k=1)
