@@ -40,18 +40,13 @@ class MatrixValidationError(ValueError):
     """Raised when an input grid violates the score-matrix contract."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class ScoreMatrix:
     """A tasks x models score grid with an explicit missing mask.
 
     ``values`` holds NaN at masked cells so accidental use of missing scores
-    fails loudly; the ``missing`` mask is authoritative.
+    fails loudly; the ``missing`` mask is authoritative. Both are private,
+    read-only copies made once at construction.
     """
 
     task_ids: tuple[str, ...]
@@ -61,8 +56,8 @@ class ScoreMatrix:
     kind: str  # "binary" | "continuous"
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        missing = np.asarray(self.missing, dtype=bool)
+        values = np.array(self.values, dtype=float)
+        missing = np.array(self.missing, dtype=bool)
         task_ids = tuple(str(t) for t in self.task_ids)
         model_ids = tuple(str(m) for m in self.model_ids)
         if values.ndim != 2:
@@ -84,28 +79,27 @@ class ScoreMatrix:
             positions.append(seen)
         if missing.shape != values.shape:
             raise MatrixValidationError("missing mask must match the grid shape")
-        present = values[~missing]
-        if not np.all(np.isfinite(present)):
+        if not (np.isfinite(values) | missing).all():
             raise MatrixValidationError("non-missing cells must be finite")
-        if present.size and (present.min() < 0.0 or present.max() > 1.0):
+        values[missing] = np.nan
+        if not missing.all() and (np.nanmin(values) < 0.0 or np.nanmax(values) > 1.0):
             raise MatrixValidationError("scores must lie in [0, 1]")
         if self.kind not in ("binary", "continuous"):
             raise MatrixValidationError(f"unknown kind: {self.kind!r}")
-        if self.kind == "binary" and present.size:
-            if not np.all((present == 0.0) | (present == 1.0)):
-                raise MatrixValidationError("binary matrix contains non-0/1 cells")
+        if self.kind == "binary" and not _zero_one(values, missing):
+            raise MatrixValidationError("binary matrix contains non-0/1 cells")
         frac = float(missing.mean())
         if frac > MISSING_WARN_FRACTION:
             warnings.warn(
                 f"missing fraction {frac:.3f} exceeds {MISSING_WARN_FRACTION}",
                 stacklevel=3,
             )
-        values = values.copy()
-        values[missing] = np.nan
+        values.flags.writeable = False
+        missing.flags.writeable = False
         object.__setattr__(self, "task_ids", task_ids)
         object.__setattr__(self, "model_ids", model_ids)
-        object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "missing", _readonly(missing))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "missing", missing)
         # id -> position lookups for task_index/model_index; not dataclass fields
         object.__setattr__(self, "_task_pos", positions[0])
         object.__setattr__(self, "_model_pos", positions[1])
@@ -131,10 +125,11 @@ class ScoreMatrix:
         return not bool(self.missing.any())
 
     def dense_values(self) -> np.ndarray:
-        """Writable copy of the grid; requires a complete (imputed) matrix."""
+        """The read-only grid itself, not a copy; requires a complete
+        (imputed) matrix. Callers that need to write take their own copy."""
         if not self.is_complete:
             raise MatrixValidationError("matrix still has missing cells; impute first")
-        return np.array(self.values, copy=True)
+        return self.values
 
     def task_index(self, task_id: str) -> int:
         try:
@@ -167,9 +162,13 @@ class ScoreMatrix:
         )
 
 
+def _zero_one(values: np.ndarray, missing: np.ndarray) -> bool:
+    """Whether every observed cell is exactly 0 or 1."""
+    return bool(((values == 0.0) | (values == 1.0) | missing).all())
+
+
 def _infer_kind(values: np.ndarray, missing: np.ndarray) -> str:
-    present = values[~missing]
-    if present.size and np.all((present == 0.0) | (present == 1.0)):
+    if not missing.all() and _zero_one(values, missing):
         return "binary"
     return "continuous"
 
@@ -218,7 +217,8 @@ def load_matrix(path, format: str = "csv") -> ScoreMatrix:
     CSV layout: UTF-8, header ``task_id,<model_id_1>,...``, one row per task,
     empty field = missing (see ``_read_csv_grid`` for the rejection rules).
     JSON layout: object with ``task_ids``, ``model_ids`` and a row-major
-    ``values`` list (null = missing).
+    ``values`` list of numbers and nulls (null = missing); any other cell,
+    a boolean included, is rejected.
     """
     if format == "csv":
         _, task_ids, model_ids, values, missing, _ = _read_csv_grid(path, "task", "model")
@@ -249,6 +249,9 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
             raise MatrixValidationError(f"{path}:1: header needs at least one {col_kind} column")
         col_ids = header[1:]
         _check_unique(path, col_ids, [1] * len(col_ids), col_kind)
+        # Each row becomes a float64 array once parsed, so no per-cell Python
+        # float outlives its row; holes keeps the empty-cell columns of the
+        # rows that have any.
         row_ids, linenos, rows, holes = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not any(c.strip() for c in row):
@@ -258,7 +261,7 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             row_id = row[0].strip()
-            vals = []
+            vals, gaps = [], []
             for col, cell in enumerate(row[1:]):
                 try:
                     vals.append(float(cell))
@@ -268,22 +271,23 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
                             f"{path}:{lineno}: non-numeric cell {cell.strip()!r} for "
                             f"{row_kind} {row_id!r}, {col_kind} {col_ids[col]!r}"
                         ) from None
-                    holes.append((len(rows), col))
+                    gaps.append(col)
                     vals.append(np.nan)
+            if gaps:
+                holes.append((len(rows), gaps))
             row_ids.append(row_id)
             linenos.append(lineno)
-            rows.append(vals)
+            rows.append(np.array(vals))
     if not rows:
         raise MatrixValidationError(f"{path}:1: no {row_kind} rows after the header")
     _check_unique(path, row_ids, linenos, row_kind)
     values = np.array(rows)
     missing = np.zeros(values.shape, dtype=bool)
-    if holes:
-        hole_rows, hole_cols = zip(*holes)
-        missing[hole_rows, hole_cols] = True
-    bad = np.argwhere(~(np.isfinite(values) | missing))
-    if bad.size:
-        r, c = bad[0]
+    for r, gaps in holes:
+        missing[r, gaps] = True
+    ok = np.isfinite(values) | missing
+    if not ok.all():
+        r, c = np.argwhere(~ok)[0]
         raise MatrixValidationError(
             f"{path}:{linenos[r]}: non-finite cell {float(values[r, c])!r} for "
             f"{row_kind} {row_ids[r]!r}, {col_kind} {col_ids[c]!r}"
@@ -305,8 +309,8 @@ def _write_csv_grid(path, corner: str, row_ids, col_ids, values) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([corner, *col_ids])
-        for row_id, row in zip(row_ids, np.asarray(values, dtype=float).tolist()):
-            writer.writerow([row_id, *("" if v != v else repr(v) for v in row)])
+        for row_id, row in zip(row_ids, np.asarray(values, dtype=float)):
+            writer.writerow([row_id, *("" if v != v else repr(v) for v in row.tolist())])
 
 
 def _load_json(path) -> ScoreMatrix:
@@ -322,12 +326,22 @@ def _load_json(path) -> ScoreMatrix:
         ) from None
     try:
         cells = np.array(raw, dtype=object)
-        missing = np.equal(cells, None)
-        values = np.where(missing, np.nan, cells).astype(float)
-    except (TypeError, ValueError):
+    except ValueError:
+        cells = None
+    if cells is None or cells.ndim != 2:
         raise MatrixValidationError(
             f"{path}: values must be a rectangular grid of numbers and nulls"
-        ) from None
+        )
+    # bool is an int subclass and a string may parse as a float: only JSON
+    # numbers and null are cells
+    for i, row in enumerate(raw):
+        for j, cell in enumerate(row):
+            if cell is not None and type(cell) not in (int, float):
+                raise MatrixValidationError(
+                    f"{path}: non-numeric cell {cell!r} at values index [{i}, {j}]"
+                )
+    missing = np.equal(cells, None)
+    values = np.where(missing, np.nan, cells).astype(float)
     bad = np.argwhere(~(np.isfinite(values) | missing))
     if bad.size:
         raise MatrixValidationError(f"{path}: non-finite cell at values index {bad[0].tolist()}")
@@ -340,16 +354,16 @@ def save_matrix(m: ScoreMatrix, path, format: str = "csv") -> None:
         _write_csv_grid(path, "task_id", m.task_ids, m.model_ids, m.values)
         return
     if format == "json":
-        payload = {
-            "task_ids": list(m.task_ids),
-            "model_ids": list(m.model_ids),
-            "values": [
-                [None if m.missing[i, j] else float(m.values[i, j]) for j in range(m.n_models)]
-                for i in range(m.n_tasks)
-            ],
-        }
+        # One json.dumps per row: the C encoder without a whole-grid string.
+        # The bytes equal json.dump of {"task_ids", "model_ids", "values"}.
+        ids = json.dumps({"task_ids": list(m.task_ids), "model_ids": list(m.model_ids)})
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(ids[:-1] + ', "values": [')
+            for i, row in enumerate(m.values):
+                # missing cells hold NaN: v != v exactly there
+                cells = [None if v != v else v for v in row.tolist()]
+                fh.write((", " if i else "") + json.dumps(cells))
+            fh.write("]}")
         return
     raise MatrixValidationError(f"unknown matrix format: {format!r}")
 
@@ -397,8 +411,9 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
 def binarize(m: ScoreMatrix, policy: BinarizationPolicy | None = None) -> ScoreMatrix:
     """Code scores above the threshold as pass (1), the rest as fail (0)."""
     policy = policy or BinarizationPolicy()
-    values = np.where(m.missing, np.nan, (np.nan_to_num(m.values) > policy.threshold))
-    return ScoreMatrix(m.task_ids, m.model_ids, values.astype(float), m.missing, "binary")
+    # NaN compares False; ScoreMatrix writes NaN back at the missing cells
+    values = (m.values > policy.threshold).astype(float)
+    return ScoreMatrix(m.task_ids, m.model_ids, values, m.missing, "binary")
 
 
 def impute_missing(m: ScoreMatrix) -> ScoreMatrix:

@@ -191,10 +191,13 @@ def bootstrap_ed_ci(
     # correctly rounded values of equal reals when two columns differ by a
     # constant. Cells are finite and adding 0.0 turns -0.0 into 0.0, so
     # equal bytes mean equal cells. Under "model" every constant column
-    # centers to zero, so they all share one label.
-    cols = values.T - values[:1].T if scheme == "double" else values.T
+    # centers to zero, so they all share one label. Labelling one column at
+    # a time keeps the temporaries to one column.
     first: dict[bytes, int] = {}
-    labels = np.array([first.setdefault(col.tobytes(), j) for j, col in enumerate(cols + 0.0)])
+    labels = np.array([
+        first.setdefault(((col - col[0] if scheme == "double" else col) + 0.0).tobytes(), j)
+        for j, col in enumerate(values.T)
+    ])
     if scheme == "model":
         labels[values.max(axis=0) == values.min(axis=0)] = -1
     kept = []

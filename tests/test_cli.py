@@ -85,7 +85,14 @@ class TestEdCommand:
         assert f"{p}:4:" in err and "'t2'" in err and "'a'" in err
 
     @pytest.mark.parametrize(
-        "values", ["[[1, 0], [0]]", "[[1, 0], [0, NaN]]", "[[1, 0], [0, Infinity]]"]
+        "values",
+        [
+            "[[1, 0], [0]]",
+            "[[1, 0], [0, NaN]]",
+            "[[1, 0], [0, Infinity]]",
+            "[[true, 0], [0, 1]]",
+            '[[1, 0], [0, "1e-1"]]',
+        ],
     )
     def test_malformed_json_values_exit_2(self, capsys, tmp_path, values):
         p = tmp_path / "bad.json"

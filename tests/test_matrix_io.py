@@ -1,3 +1,7 @@
+import csv
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +74,33 @@ class TestLoad:
         assert back.task_ids == tiny_continuous.task_ids
         np.testing.assert_allclose(back.values, tiny_continuous.values)
 
+    @pytest.mark.parametrize(
+        "values, index, cell",
+        [
+            ('[[true, "0.5"], [0, "1e-1"]]', "[0, 0]", "True"),
+            ('[[1, "0.5"], [0, "1e-1"]]', "[0, 1]", "'0.5'"),
+            ("[[1, 0], [0.5, false]]", "[1, 1]", "False"),
+            ("[[1, 0], [[0.5], 1]]", "[1, 0]", "[0.5]"),
+        ],
+    )
+    def test_json_non_number_cell_rejected(self, tmp_path, values, index, cell):
+        p = write(
+            tmp_path / "m.json",
+            f'{{"task_ids": ["t1", "t2"], "model_ids": ["a", "b"], "values": {values}}}',
+        )
+        with pytest.raises(MatrixValidationError) as err:
+            load_matrix(p, format="json")
+        assert str(err.value) == f"{p}: non-numeric cell {cell} at values index {index}"
+
+    def test_json_ints_floats_and_nulls_accepted(self, tmp_path):
+        p = write(
+            tmp_path / "m.json",
+            '{"task_ids": ["t1", "t2"], "model_ids": ["a", "b"], "values": [[1, 0.25], [null, 0]]}',
+        )
+        m = load_matrix(p, format="json")
+        assert m.missing.tolist() == [[False, False], [True, False]]
+        assert m.values[0].tolist() == [1.0, 0.25] and m.values[1, 1] == 0.0
+
     def test_missing_fraction_warns_above_5pct(self):
         vals = np.zeros((10, 2))
         mask = np.zeros((10, 2), dtype=bool)
@@ -94,6 +125,134 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             back.values[present], m.values[present], rtol=0, atol=1e-12
         )
+
+
+def reference_csv_writer(path, corner, row_ids, col_ids, values):
+    """The CSV grid writer as it was before it streamed rows: one whole-grid
+    ``tolist()``, NaN as an empty field, every other value as ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([corner, *col_ids])
+        for row_id, row in zip(row_ids, np.asarray(values, dtype=float).tolist()):
+            writer.writerow([row_id, *("" if v != v else repr(v) for v in row)])
+
+
+def reference_json_writer(m, path):
+    """The JSON matrix writer as it was before it wrote one row at a time."""
+    payload = {
+        "task_ids": list(m.task_ids),
+        "model_ids": list(m.model_ids),
+        "values": [
+            [None if m.missing[i, j] else float(m.values[i, j]) for j in range(m.n_models)]
+            for i in range(m.n_tasks)
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+class TestWriterBytes:
+    @pytest.fixture
+    def awkward(self):
+        rng = np.random.default_rng(3)
+        vals = rng.random((40, 7))
+        vals[:, 0] = np.round(vals[:, 0], 2)
+        vals[0] = [0.0, -0.0, 1.0, 1e-300, 0.1, 1 / 3, 5e-324]
+        mask = rng.random((40, 7)) < 0.1
+        mask[0] = False
+        return score_matrix([f"t,{i}" for i in range(40)], list("abcdefg"), vals, mask)
+
+    def test_csv_bytes_equal_whole_grid_writer(self, tmp_path, awkward):
+        save_matrix(awkward, tmp_path / "new.csv")
+        reference_csv_writer(
+            tmp_path / "old.csv", "task_id", awkward.task_ids, awkward.model_ids, awkward.values
+        )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        back = load_matrix(tmp_path / "new.csv")
+        assert np.array_equal(back.values, awkward.values, equal_nan=True)
+        assert np.array_equal(back.missing, awkward.missing)
+        save_matrix(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+    def test_json_bytes_equal_full_payload_dump(self, tmp_path, awkward):
+        save_matrix(awkward, tmp_path / "new.json", format="json")
+        reference_json_writer(awkward, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        back = load_matrix(tmp_path / "new.json", format="json")
+        assert np.array_equal(back.values, awkward.values, equal_nan=True)
+
+    def test_json_single_row_bytes(self, tmp_path):
+        m = score_matrix(["t"], ["a", "b"], [[0.5, np.nan]])
+        save_matrix(m, tmp_path / "new.json", format="json")
+        reference_json_writer(m, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+class TestMemory:
+    """Peak traced allocation of the loader layer, as a multiple of the
+    grid's float64 bytes, on a 4000 x 100 grid with 2% missing cells."""
+
+    SHAPE = (4000, 100)
+
+    @pytest.fixture(scope="class")
+    def grid(self, tmp_path_factory):
+        rng = np.random.default_rng(17)
+        vals = rng.random(self.SHAPE)
+        mask = rng.random(self.SHAPE) < 0.02
+        vals[mask] = np.nan
+        t_ids = [f"task_{i}" for i in range(self.SHAPE[0])]
+        m_ids = [f"model_{j}" for j in range(self.SHAPE[1])]
+        m = score_matrix(t_ids, m_ids, vals, mask)
+        path = tmp_path_factory.mktemp("mem") / "grid.csv"
+        save_matrix(m, path)
+        return m, vals, mask, path
+
+    @staticmethod
+    def peak_ratio(fn) -> float:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / (8 * TestMemory.SHAPE[0] * TestMemory.SHAPE[1])
+
+    def test_load_matrix_below_3_5_grids(self, grid):
+        path = grid[3]
+        assert self.peak_ratio(lambda: load_matrix(path)) < 3.5
+
+    def test_score_matrix_below_2_grids(self, grid):
+        m, vals, mask, _ = grid
+        assert self.peak_ratio(lambda: score_matrix(m.task_ids, m.model_ids, vals, mask)) < 2.0
+
+    def test_csv_save_below_1_grid(self, grid, tmp_path):
+        m = grid[0]
+        assert self.peak_ratio(lambda: save_matrix(m, tmp_path / "out.csv")) < 1.0
+
+
+class TestOneCopy:
+    def test_dense_values_is_the_read_only_grid(self, tiny_continuous):
+        dense = tiny_continuous.dense_values()
+        assert dense is tiny_continuous.values
+        assert np.shares_memory(dense, tiny_continuous.values)
+        with pytest.raises(ValueError, match="read-only"):
+            dense[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            dense *= 2.0
+
+    def test_construction_copies_caller_arrays(self):
+        vals = np.array([[0.2, 0.4], [0.6, 0.8]])
+        mask = np.array([[False, True], [False, False]])
+        m = score_matrix(["t1", "t2"], ["a", "b"], vals, mask)
+        assert not np.shares_memory(m.values, vals)
+        assert not np.shares_memory(m.missing, mask)
+        assert not m.values.flags.writeable and not m.missing.flags.writeable
+        vals[0, 0] = 0.9
+        mask[1, 1] = True
+        assert m.values[0, 0] == 0.2 and not m.missing[1, 1]
+        assert vals[0, 1] == 0.4  # the NaN at the missing cell lands in the copy only
+        assert np.isnan(m.values[0, 1])
 
 
 class TestBinarize:
