@@ -8,8 +8,9 @@ search, and information density.
 Rankings and champions are taken in model-id order, so exact score ties go
 to the smallest id. The Dirichlet fragility test scores its R samples over N
 models and k benchmarks in chunks of at most ``FRAGILITY_CHUNK`` samples, one
-product and one argmax per chunk: O(R * N * k) time and an O(1024 * N) score
-block instead of the full N x R one.
+product and one argmax per chunk; the first chunk's P champions prune the
+rows they dominate, so later chunks score F contenders: O(1024 * N * k +
+P * N * k + R * F * k) time and an O(1024 * N) score block.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _kendall_tau_b
+from .association import _KENDALL_CHUNK_CELLS, _kendall_tau_b
 from .matrix_io import MatrixValidationError, _read_csv_grid
 from .spectral import ed_of_matrix
 
@@ -138,6 +139,8 @@ def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
 
 
 def _zscore_columns(table: np.ndarray, benchmark_ids) -> np.ndarray:
+    # a C-order column copy z-scores bit-identically to the reduced suite
+    table = np.ascontiguousarray(table)
     mean = table.mean(axis=0)
     std = table.std(axis=0)
     for j, s in enumerate(std):
@@ -168,13 +171,19 @@ def _by_id(model_ids) -> np.ndarray:
     return np.array(sorted(range(len(model_ids)), key=model_ids.__getitem__), dtype=np.intp)
 
 
+def _rank_positions(scores: np.ndarray, model_ids) -> np.ndarray:
+    """Rank of each model (0 = best) per row of ``scores``; ties to smallest id."""
+    by_id = _by_id(model_ids)
+    order = by_id[np.argsort(-scores[..., by_id], axis=-1, kind="stable")]
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(len(by_id)), axis=-1)
+    return pos
+
+
 def composite_ranking(s: SuiteScores, weights) -> list[str]:
     """Model ids best-first under the weighted composite; ties break by id."""
-    scores = composite_scores(s, weights)
-    id_rank = np.empty(s.n_models, dtype=np.intp)
-    id_rank[_by_id(s.model_ids)] = np.arange(s.n_models)
-    order = np.lexsort((id_rank, -scores))
-    return [s.model_ids[i] for i in order]
+    pos = _rank_positions(composite_scores(s, weights), s.model_ids)
+    return [s.model_ids[i] for i in np.argsort(pos)]
 
 
 def kendall_tau(rank_a, rank_b) -> float:
@@ -234,6 +243,32 @@ class FragilityReport:
     equal_weight_champion: str
 
 
+def _contenders(zt: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Columns of ``zt`` (k x F, distinct rows in id order) no pivot dominates.
+
+    Pivot p drops r when z_p >= z_r everywhere and either z_p > z_r
+    everywhere or p has the smaller id: r then is never the first maximum
+    under nonnegative weights in exact arithmetic (skyline dominance,
+    Borzsonyi, Kossmann & Stocker, ICDE 2001). Per benchmark j the key
+    dense_rank_j(r) * F + (F - 1 - r) breaks score ties toward the smaller
+    id, so the test is key_j(p) > key_j(r) for all j: O(P * F * k) time,
+    P x F masks smaller than a score block since P <= ``FRAGILITY_CHUNK``.
+    """
+    k, f = zt.shape
+    order = np.argsort(zt, axis=1)
+    ranked = np.take_along_axis(zt, order, axis=1)
+    dense = np.zeros((k, f), dtype=np.intp)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=dense[:, 1:])
+    key = np.empty((k, f), dtype=np.intp)
+    np.put_along_axis(key, order, dense * f, axis=1)
+    key = (key + np.arange(f - 1, -1, -1)).astype(np.min_scalar_type(f * f))
+    dominated = key[0, pivots, None] > key[0]
+    step = np.empty_like(dominated)
+    for row in key[1:]:
+        dominated &= np.greater(row[pivots, None], row, out=step)
+    return np.flatnonzero(~dominated.any(axis=0))
+
+
 def dirichlet_fragility(
     s: SuiteScores,
     alpha: float = 1.0,
@@ -246,8 +281,8 @@ def dirichlet_fragility(
     distinct z-scored row is scored once, for the smallest id that has it,
     so models with equal rows tie exactly. Samples are scored
     ``FRAGILITY_CHUNK`` at a time against those rows in id order, so the
-    first argmax of each row of scores is the champion: O(samples * N * k)
-    time, at most a ``FRAGILITY_CHUNK`` x N score block in memory.
+    first argmax is the champion; later chunks score the first chunk's
+    ``_contenders`` only. At most a ``FRAGILITY_CHUNK`` x N score block.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -260,10 +295,14 @@ def dirichlet_fragility(
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.full(k, alpha), size=samples)
     zt = np.ascontiguousarray(z[reps].T)
+    cols = np.arange(len(reps))
     champions = np.empty(samples, dtype=np.intp)
     for start in range(0, samples, FRAGILITY_CHUNK):
         chunk = weights[start : start + FRAGILITY_CHUNK]
-        champions[start : start + len(chunk)] = np.argmax(chunk @ zt, axis=1)
+        champions[start : start + len(chunk)] = cols[np.argmax(chunk @ zt, axis=1)]
+        if start == 0 and samples > FRAGILITY_CHUNK:
+            cols = _contenders(zt, np.unique(champions[:FRAGILITY_CHUNK]))
+            zt = np.ascontiguousarray(zt[:, cols])
     changes = int(np.count_nonzero(champions != baseline))
     return FragilityReport(
         champion_change_rate=changes / samples,
@@ -282,20 +321,27 @@ class LeaveOneOut:
 
 
 def leave_one_out(s: SuiteScores) -> dict[str, LeaveOneOut]:
-    """Per-benchmark ED shift and ranking agreement when it is removed."""
-    full_ed = suite_ed(s)
-    full_rank = composite_ranking(s, np.ones(s.n_benchmarks))
-    out: dict[str, LeaveOneOut] = {}
-    for j, bench in enumerate(s.benchmark_ids):
-        keep = [b for b in s.benchmark_ids if b != bench]
-        reduced = s.subset_benchmarks(keep)
-        red_ed = suite_ed(reduced)
-        red_rank = composite_ranking(reduced, np.ones(reduced.n_benchmarks))
-        out[bench] = LeaveOneOut(
-            delta_ed=full_ed - red_ed,
-            tau_vs_full=kendall_tau(full_rank, red_rank),
-        )
-    return out
+    """Per-benchmark ED shift and ranking agreement when it is removed; the
+    k taus come from one tau-b call, O(k^2 * N + k * N log N) in all."""
+    k = s.n_benchmarks
+    if k < 2:
+        raise ValueError("leave-one-out needs at least two benchmarks")
+    z = _zscore_columns(s.table, s.benchmark_ids)
+    full_ed = ed_of_matrix(z.T, scheme="task")
+    scores = np.empty((k + 1, s.n_models))
+    scores[k] = z @ np.ones(k)
+    deltas = []
+    for j in range(k):
+        keep = [i for i in range(k) if i != j]
+        zr = _zscore_columns(s.table[:, keep], [s.benchmark_ids[i] for i in keep])
+        deltas.append(full_ed - ed_of_matrix(zr.T, scheme="task"))
+        scores[j] = zr @ np.ones(k - 1)
+    pos = _rank_positions(scores, s.model_ids)
+    taus = _kendall_tau_b(pos[:k], pos[k])
+    return {
+        bench: LeaveOneOut(delta_ed=deltas[j], tau_vs_full=float(taus[j]))
+        for j, bench in enumerate(s.benchmark_ids)
+    }
 
 
 @dataclass(frozen=True)
@@ -308,7 +354,8 @@ class SubsetSearchResult:
 
 def best_subset_search(s: SuiteScores, size: int) -> SubsetSearchResult:
     """Exhaustive search for the benchmark subset whose equal-weight ranking
-    best (and worst) reproduces the full-suite ranking."""
+    best (and worst) reproduces the full-suite ranking; ties go to the first
+    subset, each chunk of subsets is scored in one tau-b call."""
     import math
 
     k = s.n_benchmarks
@@ -316,15 +363,21 @@ def best_subset_search(s: SuiteScores, size: int) -> SubsetSearchResult:
         raise ValueError(f"subset size must lie in [1, {k}]")
     if math.comb(k, size) > 1_000_000:
         raise ValueError("combination count exceeds the exhaustive-search budget")
-    full_rank = composite_ranking(s, np.ones(k))
+    full_pos = _rank_positions(composite_scores(s, np.ones(k)), s.model_ids)
+    combos = itertools.combinations(range(k), size)
+    step = max(1, _KENDALL_CHUNK_CELLS // s.n_models)
     best = worst = None
-    for combo in itertools.combinations(s.benchmark_ids, size):
-        sub = s.subset_benchmarks(combo)
-        tau = kendall_tau(full_rank, composite_ranking(sub, np.ones(size)))
-        if best is None or tau > best[1]:
-            best = (combo, tau)
-        if worst is None or tau < worst[1]:
-            worst = (combo, tau)
+    while chunk := list(itertools.islice(combos, step)):
+        ids = [tuple(s.benchmark_ids[j] for j in c) for c in chunk]
+        scores = np.stack(
+            [_zscore_columns(s.table[:, c], b) @ np.ones(size) for c, b in zip(chunk, ids)]
+        )
+        taus = _kendall_tau_b(_rank_positions(scores, s.model_ids), full_pos)
+        hi, lo = int(np.argmax(taus)), int(np.argmin(taus))
+        if best is None or taus[hi] > best[1]:
+            best = (ids[hi], float(taus[hi]))
+        if worst is None or taus[lo] < worst[1]:
+            worst = (ids[lo], float(taus[lo]))
     return SubsetSearchResult(
         best_ids=best[0], best_tau=best[1], worst_ids=worst[0], worst_tau=worst[1]
     )

@@ -341,7 +341,19 @@ def _load_json(path) -> ScoreMatrix:
                     f"{path}: non-numeric cell {cell!r} at values index [{i}, {j}]"
                 )
     missing = np.equal(cells, None)
-    values = np.where(missing, np.nan, cells).astype(float)
+    try:
+        values = np.where(missing, np.nan, cells).astype(float)
+    except OverflowError:
+        # a JSON integer beyond float range: name the first one
+        for i, row in enumerate(raw):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell or 0)
+                except OverflowError:
+                    raise MatrixValidationError(
+                        f"{path}: integer cell out of float range at values index [{i}, {j}]"
+                    ) from None
+        raise
     bad = np.argwhere(~(np.isfinite(values) | missing))
     if bad.size:
         raise MatrixValidationError(f"{path}: non-finite cell at values index {bad[0].tolist()}")

@@ -314,15 +314,19 @@ def _parallel_analysis_null(values: np.ndarray, seed: int, replicates: int) -> n
 
     A within-column shuffle keeps each column's mean and spread, so the grid
     is standardized once to Z and each replicate's correlation matrix is
-    Zp^T Zp / T for the shuffled Zp, written into one reused buffer.
+    Zp^T Zp / T for the shuffled Zp, written into one reused buffer. Z is
+    held as a C-contiguous N x T array, so each column is shuffled in place
+    as one contiguous row; the draws equal ``permuted(Z, axis=0)``'s.
     """
-    z = (values - values.mean(axis=0)) / values.std(axis=0)
-    shuffled = np.empty_like(z)
-    eigs = np.empty((replicates, z.shape[1]))
+    zt = np.array(values.T, order="C")
+    zt -= values.mean(axis=0)[:, None]
+    zt /= values.std(axis=0)[:, None]
+    shuffled = np.empty_like(zt)
+    eigs = np.empty((replicates, zt.shape[0]))
     for r in range(replicates):
         rng = np.random.default_rng((seed, r))
-        rng.permuted(z, axis=0, out=shuffled)
-        eigs[r] = np.linalg.eigvalsh(shuffled.T @ shuffled / z.shape[0])[::-1]
+        rng.permuted(zt, axis=1, out=shuffled)
+        eigs[r] = np.linalg.eigvalsh(shuffled @ shuffled.T / zt.shape[1])[::-1]
     return eigs
 
 

@@ -105,6 +105,18 @@ class TestEdCommand:
         assert out == ""
         assert str(p) in err
 
+    def test_out_of_range_json_integer_exit_2_names_index(self, capsys, tmp_path):
+        p = tmp_path / "big.json"
+        p.write_text(
+            '{"task_ids": ["t1", "t2"], "model_ids": ["a", "b"], '
+            f'"values": [[1, 0], [0, 1{"0" * 400}]]}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "ed", "--matrix", p, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert str(p) in err and "[1, 1]" in err
+
     def test_out_file_written(self, capsys, toy_matrix, tmp_path):
         dest = tmp_path / "report.json"
         _, out, _ = run(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -20,7 +21,13 @@ from spectradiag import (
     load_suite,
     suite_ed,
 )
-from spectradiag.composite import FragilityReport, _zscore_columns
+from spectradiag.composite import (
+    FragilityReport,
+    LeaveOneOut,
+    SubsetSearchResult,
+    _contenders,
+    _zscore_columns,
+)
 
 
 def make_suite(table, bench_ids=None, model_ids=None):
@@ -85,6 +92,25 @@ def suites_with_duplicates(draw, integer=True):
     table[rng.integers(0, n, copies)] = table[rng.integers(0, n, copies)]
     assume(np.all(table.max(axis=0) > table.min(axis=0)))
     return make_suite(table, model_ids=[f"m{j:02d}" for j in rng.permutation(n)])
+
+
+@st.composite
+def front_suites(draw):
+    """Suites where every model, or most of them, is on the Pareto front, so
+    the contender filter drops little: an anti-correlated pair, k = 12
+    independent normals and points on an arc, with shuffled ids."""
+    kind = draw(st.sampled_from(["anti", "normal12", "arc"]))
+    n = draw(st.integers(3, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "anti":
+        a = rng.standard_normal(n)
+        table = np.column_stack([a, -a])
+    elif kind == "normal12":
+        table = rng.standard_normal((n, 12))
+    else:
+        theta = rng.uniform(0.0, np.pi / 2, n)
+        table = np.column_stack([np.cos(theta), np.sin(theta)])
+    return make_suite(table, model_ids=[f"m{j:03d}" for j in rng.permutation(n)])
 
 
 @pytest.fixture
@@ -233,7 +259,7 @@ class TestFragility:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        suites_with_duplicates(integer=False),
+        st.one_of(suites_with_duplicates(integer=False), front_suites()),
         st.sampled_from([0.1, 1.0, 10.0]),
         st.integers(1, 2500),
         st.integers(0, 1000),
@@ -243,7 +269,7 @@ class TestFragility:
         # models tie in exact arithmetic (two distinct rows make every column
         # two-valued, and the equal-weight scores can tie exactly), and any
         # rounding order scores copies equally. Up to 2500 samples spans
-        # three product chunks.
+        # three product chunks, so the later two score the contenders only.
         assume(len(np.unique(s.table, axis=0)) >= 3)
         got = dirichlet_fragility(s, alpha=alpha, samples=samples, seed=seed)
         assert got == dirichlet_fragility_reference(s, alpha=alpha, samples=samples, seed=seed)
@@ -254,6 +280,15 @@ class TestFragility:
         rep = dirichlet_fragility(s, samples=50, seed=0)
         assert rep.equal_weight_champion == "m0"
         assert rep.distinct_champions == 1 and rep.champion_change_rate == 0.0
+
+    def test_contenders_follow_dominance_rule(self):
+        # rows in id order; pivot 1 = (1, 1) ties row 0 in benchmark 1 but
+        # comes later (kept), ties row 2 in benchmark 0 and comes first
+        # (dropped), beats row 3 everywhere (dropped), and loses to row 4 in
+        # benchmark 0 (kept)
+        z = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0], [2.0, -1.0]])
+        got = _contenders(np.ascontiguousarray(z.T), np.array([1]))
+        np.testing.assert_array_equal(got, [0, 1, 4])
 
     def test_memory_bounded_by_chunk(self):
         # The full 3000 x 10000 score matrix alone would take 240 MB.
@@ -267,7 +302,29 @@ class TestFragility:
         assert peak < 64 * 2**20
 
 
+def leave_one_out_reference(s):
+    """One reduced suite per benchmark through the public functions."""
+    full_ed = suite_ed(s)
+    full = composite_ranking(s, np.ones(s.n_benchmarks))
+    out = {}
+    for bench in s.benchmark_ids:
+        reduced = s.subset_benchmarks([b for b in s.benchmark_ids if b != bench])
+        rank = composite_ranking(reduced, np.ones(reduced.n_benchmarks))
+        out[bench] = LeaveOneOut(full_ed - suite_ed(reduced), kendall_tau(full, rank))
+    return out
+
+
 class TestLeaveOneOut:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(suites_with_duplicates(), suites_with_duplicates(integer=False)))
+    def test_matches_per_benchmark_reference(self, s):
+        assume(s.n_benchmarks >= 2)
+        assert leave_one_out(s) == leave_one_out_reference(s)
+
+    def test_single_benchmark_rejected(self, random_suite):
+        with pytest.raises(ValueError, match="two benchmarks"):
+            leave_one_out(random_suite.subset_benchmarks(["b0"]))
+
     def test_clone_benchmark_is_cheap(self):
         rng = np.random.default_rng(6)
         base = rng.standard_normal(50)
@@ -297,7 +354,34 @@ class TestLeaveOneOut:
         assert out["b"].tau_vs_full == 1.0
 
 
+def subset_search_reference(s, size):
+    """One reduced suite, ranking and tau per combination; first max and min."""
+    full = composite_ranking(s, np.ones(s.n_benchmarks))
+    best = worst = None
+    for combo in itertools.combinations(s.benchmark_ids, size):
+        tau = kendall_tau(full, composite_ranking(s.subset_benchmarks(combo), np.ones(size)))
+        if best is None or tau > best[1]:
+            best = (combo, tau)
+        if worst is None or tau < worst[1]:
+            worst = (combo, tau)
+    return SubsetSearchResult(best[0], best[1], worst[0], worst[1])
+
+
 class TestSubsetSearch:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_subset_reference(self, seed):
+        # Integer cells make composite scores tie exactly, and benchmarks 4-7
+        # copy 0-3, so many subsets tie on tau; 5000 models put 52 subsets in
+        # a tau-b chunk, so the 56 triples span two chunks.
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 4, size=(5000, 4))
+        s = make_suite(
+            np.column_stack([base, base]),
+            model_ids=[f"m{j:04d}" for j in rng.permutation(5000)],
+        )
+        for size in (1, 2, 3, 8):
+            assert best_subset_search(s, size) == subset_search_reference(s, size)
+
     def test_full_size_tau_one(self, random_suite):
         res = best_subset_search(random_suite, random_suite.n_benchmarks)
         assert res.best_tau == 1.0

@@ -364,6 +364,18 @@ class TestAlternativeEstimators:
             want = np.sort(np.linalg.eigvalsh(corr))[::-1]
             np.testing.assert_allclose(got[r], want, rtol=0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(300, 20), (15, 40)])
+    def test_null_eigenvalues_equal_column_shuffle_form(self, shape):
+        # the grid is shuffled as N x T rows; the draws and eigenvalues must
+        # equal shuffling the T x N grid along axis 0, bit for bit
+        values = np.random.default_rng(3).random(shape)
+        z = (values - values.mean(axis=0)) / values.std(axis=0)
+        got = _parallel_analysis_null(values, seed=6, replicates=4)
+        for r in range(4):
+            shuffled = np.random.default_rng((6, r)).permuted(z, axis=0)
+            want = np.linalg.eigvalsh(shuffled.T @ shuffled / shape[0])[::-1]
+            np.testing.assert_array_equal(got[r], want)
+
     def test_degenerate_column_rejected(self):
         m = score_matrix(["t1", "t2", "t3"], ["a", "b"], [[1, 1], [0, 1], [1, 1]])
         with pytest.raises(ValueError, match="degenerate"):
