@@ -289,8 +289,12 @@ def dirichlet_fragility(
     k = s.n_benchmarks
     z = _zscore_columns(s.table, s.benchmark_ids)
     by_id = _by_id(s.model_ids)
-    _, first = np.unique(z[by_id], axis=0, return_index=True)
-    reps = by_id[np.sort(first)]
+    # first occurrence of each distinct row in id order; + 0.0 turns -0.0
+    # into 0.0 so that equal rows have equal bytes
+    first: dict[bytes, int] = {}
+    for pos, row in zip(by_id.tolist(), z[by_id] + 0.0):
+        first.setdefault(row.tobytes(), pos)
+    reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     baseline = int(np.argmax(z[reps] @ np.full(k, 1.0 / k)))
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.full(k, alpha), size=samples)

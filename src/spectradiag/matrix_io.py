@@ -324,40 +324,73 @@ def _load_json(path) -> ScoreMatrix:
         raise MatrixValidationError(
             f"{path}: expected keys task_ids, model_ids, values"
         ) from None
-    try:
-        cells = np.array(raw, dtype=object)
-    except ValueError:
-        cells = None
-    if cells is None or cells.ndim != 2:
+    values, missing = _json_grid(path, raw)
+    # the parsed lists hold about four grids of Python objects: drop them
+    # before score_matrix copies the grid
+    del payload, raw
+    return score_matrix(task_ids, model_ids, values, missing)
+
+
+def _json_grid(path, raw) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 grid and missing mask of a JSON ``values`` list.
+
+    A grid is a non-empty list of equal-length lists whose cells are not all
+    lists of one length (the grids ``np.array(raw, dtype=object)`` makes 2-D).
+    Errors come in this order: not a grid, the first non-number cell in
+    row-major order, the first integer beyond float range, the first
+    non-finite cell. Each row is written straight into the preallocated
+    arrays, so the extra memory is the grid and its mask.
+    """
+    width = len(raw[0]) if isinstance(raw, list) and raw and isinstance(raw[0], list) else -1
+    rectangular = width >= 0 and all(isinstance(row, list) and len(row) == width for row in raw)
+    if rectangular and width:
+        # cells that are all lists of one length would make a third dimension
+        depth = len(raw[0][0]) if isinstance(raw[0][0], list) else -1
+        rectangular = depth < 0 or not all(
+            isinstance(cell, list) and len(cell) == depth for row in raw for cell in row
+        )
+    if not rectangular:
         raise MatrixValidationError(
             f"{path}: values must be a rectangular grid of numbers and nulls"
         )
-    # bool is an int subclass and a string may parse as a float: only JSON
-    # numbers and null are cells
+    values = np.empty((len(raw), width))
+    missing = np.zeros((len(raw), width), dtype=bool)
+    overflow = None
     for i, row in enumerate(raw):
+        # bool is an int subclass and a string may parse as a float: only
+        # JSON numbers and null are cells
         for j, cell in enumerate(row):
             if cell is not None and type(cell) not in (int, float):
                 raise MatrixValidationError(
                     f"{path}: non-numeric cell {cell!r} at values index [{i}, {j}]"
                 )
-    missing = np.equal(cells, None)
-    try:
-        values = np.where(missing, np.nan, cells).astype(float)
-    except OverflowError:
-        # a JSON integer beyond float range: name the first one
-        for i, row in enumerate(raw):
-            for j, cell in enumerate(row):
-                try:
-                    float(cell or 0)
-                except OverflowError:
-                    raise MatrixValidationError(
-                        f"{path}: integer cell out of float range at values index [{i}, {j}]"
-                    ) from None
-        raise
+        gaps = [j for j, cell in enumerate(row) if cell is None]
+        if gaps:
+            missing[i, gaps] = True
+            row = [np.nan if cell is None else cell for cell in row]
+        try:
+            values[i] = row
+        except OverflowError:
+            # a JSON integer beyond float range; type errors in later rows
+            # still come first
+            if overflow is None:
+                overflow = [i, next(j for j, cell in enumerate(row) if _beyond_float(cell))]
+    if overflow is not None:
+        raise MatrixValidationError(
+            f"{path}: integer cell out of float range at values index {overflow}"
+        )
     bad = np.argwhere(~(np.isfinite(values) | missing))
     if bad.size:
         raise MatrixValidationError(f"{path}: non-finite cell at values index {bad[0].tolist()}")
-    return score_matrix(task_ids, model_ids, values, missing)
+    return values, missing
+
+
+def _beyond_float(cell) -> bool:
+    try:
+        float(cell)
+    except OverflowError:
+        return True
+    return False
 
 
 def save_matrix(m: ScoreMatrix, path, format: str = "csv") -> None:

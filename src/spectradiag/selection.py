@@ -4,7 +4,11 @@ The greedy selector adds, at each step, the task with the largest marginal
 increase in the centered-submatrix ED. Candidate EDs come from incremental
 trace/Frobenius updates of the task-side Gram matrix, one Gram column per
 added task, so no T x T matrix is formed; tests pin them against full SVD
-recomputation.
+recomputation. A step costs the O(T * N) Gram column plus an O(T) pick:
+one candidate-ED pass over all tasks, with the tie-break applied to the
+exact maxima only, so k steps cost O(k * T * N). The discrimination
+baselines take the row statistics in whole-array passes, O(T * N), and every
+ranking by (score desc, task id asc) is one ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class _GramEvaluator:
         self.cross = np.zeros(values.shape[0])
 
     def candidate_ed(self, idx):
-        """ED after adding task ``idx``; an index array gives one ED per entry."""
+        """ED after adding task ``idx``; an index array or slice gives one ED
+        per task it selects."""
         d = self.diag[idx]
         ntr = self.trace + d
         nfro = self.fro2 + 2.0 * self.cross[idx] + d * d
@@ -109,6 +114,13 @@ class _GramEvaluator:
 
 def _task_variances(values: np.ndarray) -> np.ndarray:
     return values.var(axis=1)
+
+
+def _best_first(scores: np.ndarray, task_ids) -> np.ndarray:
+    """Positions by descending score, exact ties by ascending task id."""
+    id_rank = np.empty(len(task_ids), dtype=np.intp)
+    id_rank[sorted(range(len(task_ids)), key=task_ids.__getitem__)] = np.arange(len(task_ids))
+    return np.lexsort((id_rank, -scores))
 
 
 def _trajectory_and_result(
@@ -144,16 +156,19 @@ def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
     if np.all(variances == 0.0):
         raise ValueError("all tasks are degenerate (zero variance)")
     ev = _GramEvaluator(values)
-    id_rank = np.argsort(np.argsort(m.task_ids))
-    remaining = np.arange(n_tasks)
+    # tie priority: position in the (variance desc, id asc) order
+    priority = np.empty(n_tasks, dtype=np.intp)
+    priority[_best_first(variances, m.task_ids)] = np.arange(n_tasks)
+    taken = np.zeros(n_tasks, dtype=bool)
     order: list[int] = []
     trajectory: list[float] = []
     for _ in range(k):
-        eds = ev.candidate_ed(remaining)
-        pos = np.lexsort((id_rank[remaining], -variances[remaining], -eds))[0]
-        best_t = int(remaining[pos])
+        eds = ev.candidate_ed(slice(None))
+        eds[taken] = -np.inf
+        tied = np.flatnonzero(eds == eds.max())
+        best_t = int(tied[np.argmin(priority[tied])])
         trajectory.append(ev.add(best_t))
-        remaining = np.delete(remaining, pos)
+        taken[best_t] = True
         order.append(best_t)
     selected = tuple(m.task_ids[t] for t in order)
     return SelectionResult(
@@ -165,18 +180,26 @@ def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
     )
 
 
-def _discrimination(values: np.ndarray) -> np.ndarray:
-    """Point-biserial correlation of each task with the model total score."""
+def _discrimination(values: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Point-biserial correlation of tasks ``rows`` with the model total score.
+
+    Row means, stds and centering are whole-array passes, O(T * N). The
+    products with the centered totals stay one ``np.dot`` per row: one
+    matrix-vector product can round identical rows differently, which would
+    break the task-id tie-break.
+    """
     totals = values.mean(axis=0)
-    out = np.zeros(values.shape[0])
+    sub = values[rows]
+    out = np.zeros(sub.shape[0])
     t_std = totals.std()
     if t_std == 0.0:
         return out
     tc = totals - totals.mean()
-    for i, row in enumerate(values):
-        r_std = row.std()
-        if r_std > 0.0:
-            out[i] = float(np.dot(row - row.mean(), tc) / (values.shape[1] * r_std * t_std))
+    r_std = sub.std(axis=1)
+    centered = sub - sub.mean(axis=1, keepdims=True)
+    live = np.flatnonzero(r_std > 0.0)
+    dots = np.array([np.dot(centered[i], tc) for i in live], dtype=float)
+    out[live] = dots / (values.shape[1] * r_std[live] * t_std)
     return out
 
 
@@ -247,19 +270,15 @@ def baseline_select(
         rng = np.random.default_rng(seed)
         order = rng.permutation(n_tasks)[:k].tolist()
     elif method == "max_variance":
-        variances = _task_variances(values)
-        order = sorted(range(n_tasks), key=lambda t: (-variances[t], m.task_ids[t]))[:k]
+        order = _best_first(_task_variances(values), m.task_ids)[:k].tolist()
     elif method == "irt_discrimination":
-        disc = _discrimination(values)
-        order = sorted(range(n_tasks), key=lambda t: (-disc[t], m.task_ids[t]))[:k]
+        order = _best_first(_discrimination(values), m.task_ids)[:k].tolist()
     elif method == "k_medoids":
         order = _k_medoids(values, k, seed, max_swaps)
     elif method == "two_stage":
-        pool = ed_greedy(m, min(2 * k, n_tasks)).selected
-        disc = _discrimination(values)
-        by_id = {tid: i for i, tid in enumerate(m.task_ids)}
-        ranked = sorted(pool, key=lambda tid: (-disc[by_id[tid]], tid))[:k]
-        order = [by_id[tid] for tid in ranked]
+        pool = np.array([m.task_index(t) for t in ed_greedy(m, min(2 * k, n_tasks)).selected])
+        disc = _discrimination(values, pool)
+        order = pool[_best_first(disc, [m.task_ids[t] for t in pool])[:k]].tolist()
     else:
         raise ValueError(f"unknown selection method: {method!r}")
     return _trajectory_and_result(m, values, list(order), method, seed)

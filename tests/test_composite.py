@@ -281,6 +281,19 @@ class TestFragility:
         assert rep.equal_weight_champion == "m0"
         assert rep.distinct_champions == 1 and rep.champion_change_rate == 0.0
 
+    def test_signed_zero_copies_tie_as_copies(self):
+        # "m2" and "m4" copy "m0", "m2" with -0.0 in a column whose mean is
+        # exactly 0.0, so its z-score keeps the sign; all three are one row
+        table = np.array([[0.0, 1.0], [1.0, -1.0], [-0.0, 1.0], [-1.0, -1.0], [0.0, 1.0]])
+        s = make_suite(table)
+        z = _zscore_columns(s.table, s.benchmark_ids)
+        assert np.signbit(z[2, 0]) and not np.signbit(z[0, 0])
+        for samples in (50, 2500):
+            rep = dirichlet_fragility(s, samples=samples, seed=3)
+            assert rep == dirichlet_fragility_reference(s, samples=samples, seed=3)
+            assert rep == dirichlet_fragility(make_suite(table + 0.0), samples=samples, seed=3)
+            assert rep.distinct_champions == 2 and rep.equal_weight_champion == "m00"
+
     def test_contenders_follow_dominance_rule(self):
         # rows in id order; pivot 1 = (1, 1) ties row 0 in benchmark 1 but
         # comes later (kept), ties row 2 in benchmark 0 and comes first

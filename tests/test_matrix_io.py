@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spectradiag import (
     BinarizationPolicy,
@@ -188,6 +190,153 @@ class TestWriterBytes:
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
+def load_json_reference(path):
+    """The JSON loader as it was before it converted row by row: an object
+    array of the parsed lists, a type pass over every cell, then
+    ``np.where(...).astype(float)``."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    try:
+        task_ids = payload["task_ids"]
+        model_ids = payload["model_ids"]
+        raw = payload["values"]
+    except (KeyError, TypeError):
+        raise MatrixValidationError(f"{path}: expected keys task_ids, model_ids, values") from None
+    try:
+        cells = np.array(raw, dtype=object)
+    except ValueError:
+        cells = None
+    if cells is None or cells.ndim != 2:
+        raise MatrixValidationError(
+            f"{path}: values must be a rectangular grid of numbers and nulls"
+        )
+    for i, row in enumerate(raw):
+        for j, cell in enumerate(row):
+            if cell is not None and type(cell) not in (int, float):
+                raise MatrixValidationError(
+                    f"{path}: non-numeric cell {cell!r} at values index [{i}, {j}]"
+                )
+    missing = np.equal(cells, None)
+    try:
+        values = np.where(missing, np.nan, cells).astype(float)
+    except OverflowError:
+        for i, row in enumerate(raw):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell or 0)
+                except OverflowError:
+                    raise MatrixValidationError(
+                        f"{path}: integer cell out of float range at values index [{i}, {j}]"
+                    ) from None
+        raise
+    bad = np.argwhere(~(np.isfinite(values) | missing))
+    if bad.size:
+        raise MatrixValidationError(f"{path}: non-finite cell at values index {bad[0].tolist()}")
+    return score_matrix(task_ids, model_ids, values, missing)
+
+
+SCALAR_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from([0, 1]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([True, "0.5", 2**70, 10**400, -(10**400), float("nan"), float("inf"), 1.5]),
+)
+CELLS = st.one_of(SCALAR_CELLS, st.lists(SCALAR_CELLS, max_size=2))
+
+
+@st.composite
+def json_values(draw):
+    """Mostly valid grids of 0/1, [0, 1] floats and nulls, with bad cells
+    (bools, strings, huge integers, NaN, inf, lists) and bad shapes: ragged
+    rows, a flat list, a scalar, an empty list, and cells that are all lists
+    of one length (a third dimension)."""
+    shape = draw(st.sampled_from(["grid"] * 6 + ["ragged", "flat", "scalar", "empty", "deep"]))
+    t, n = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    valid = st.one_of(st.none(), st.sampled_from([0, 1]), st.floats(0.0, 1.0))
+    cell = st.one_of(valid, valid, valid, CELLS)
+    if shape == "flat":
+        return draw(st.lists(SCALAR_CELLS, max_size=4))
+    if shape == "scalar":
+        return draw(SCALAR_CELLS)
+    if shape == "empty":
+        return []
+    if shape == "deep":
+        d = draw(st.integers(0, 2))
+        return draw(st.lists(
+            st.lists(st.lists(SCALAR_CELLS, min_size=d, max_size=d), min_size=n, max_size=n),
+            min_size=t, max_size=t,
+        ))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=t, max_size=t))
+    if shape == "ragged":
+        rows[draw(st.integers(0, t - 1))].append(0)
+    return rows
+
+
+def load_outcome(loader, path):
+    try:
+        m = loader(path)
+    except MatrixValidationError as err:
+        return ("error", str(err))
+    return (m.task_ids, m.model_ids, m.values.tobytes(), m.missing.tobytes(), m.kind)
+
+
+class TestJsonLoader:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(json_values())
+    def test_matches_object_array_reference(self, tmp_path, raw):
+        width = len(raw[0]) if isinstance(raw, list) and raw and isinstance(raw[0], list) else 2
+        rows = len(raw) if isinstance(raw, list) else 1
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({
+            "task_ids": [f"t{i}" for i in range(rows)],
+            "model_ids": [f"m{j}" for j in range(width)],
+            "values": raw,
+        }), encoding="utf-8")
+        assert load_outcome(lambda q: load_matrix(q, format="json"), p) == load_outcome(
+            load_json_reference, p
+        )
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # the ragged row wins over the earlier string cell
+            ('[[1, "x"], [0]]', "values must be a rectangular grid of numbers and nulls"),
+            ("[[[0], [1]], [[1], [0]]]", "values must be a rectangular grid of numbers and nulls"),
+            # a type error in a later row wins over an earlier huge integer
+            ("[[1" + "0" * 400 + ", 0], [1, true]]", "non-numeric cell True at values index [1, 1]"),
+            ("[[0, NaN], [1" + "0" * 400 + ", 0]]",
+             "integer cell out of float range at values index [1, 0]"),
+            ("[[0, 1], [Infinity, NaN]]", "non-finite cell at values index [1, 0]"),
+        ],
+    )
+    def test_error_order(self, tmp_path, values, message):
+        p = write(
+            tmp_path / "m.json",
+            f'{{"task_ids": ["t1", "t2"], "model_ids": ["a", "b"], "values": {values}}}',
+        )
+        with pytest.raises(MatrixValidationError) as err:
+            load_matrix(p, format="json")
+        assert str(err.value) == f"{p}: {message}"
+
+    def test_peak_below_7_grids(self, tmp_path):
+        # json.load alone holds the file text plus one Python float and one
+        # list slot per cell, about 6.7 grids here; the object-array
+        # conversion took the loader to 8.0
+        shape = (1000, 100)
+        rng = np.random.default_rng(17)
+        vals = rng.random(shape)
+        mask = rng.random(shape) < 0.02
+        vals[mask] = np.nan
+        m = score_matrix([f"task_{i}" for i in range(shape[0])],
+                         [f"model_{j}" for j in range(shape[1])], vals, mask)
+        save_matrix(m, tmp_path / "g.json", format="json")
+        ratio = TestMemory.peak_ratio(
+            lambda: load_matrix(tmp_path / "g.json", format="json"), shape
+        )
+        assert ratio < 7.0
+
+
 class TestMemory:
     """Peak traced allocation of the loader layer, as a multiple of the
     grid's float64 bytes, on a 4000 x 100 grid with 2% missing cells."""
@@ -208,7 +357,7 @@ class TestMemory:
         return m, vals, mask, path
 
     @staticmethod
-    def peak_ratio(fn) -> float:
+    def peak_ratio(fn, shape=SHAPE) -> float:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -216,7 +365,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return (peak - base) / (8 * TestMemory.SHAPE[0] * TestMemory.SHAPE[1])
+        return (peak - base) / (8 * shape[0] * shape[1])
 
     def test_load_matrix_below_3_5_grids(self, grid):
         path = grid[3]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectradiag import (
@@ -19,6 +19,7 @@ from spectradiag import (
 )
 from spectradiag.selection import (
     COMPRESSION_FRACTIONS,
+    _discrimination,
     _GramEvaluator,
     _k_medoids,
     _profile_distances,
@@ -104,6 +105,75 @@ def k_medoids_reference(values, k, seed, max_swaps=50):
         medoids[best_swap[0]] = best_swap[1]
         medoids.sort()
     return sorted(medoids)
+
+
+def ed_greedy_reference(m, k):
+    """Full-sort greedy: every step lexsorts all remaining tasks by (ED desc,
+    variance desc, id asc) and deletes the pick. Returns (order, trajectory)."""
+    values = m.dense_values()
+    variances = values.var(axis=1)
+    ev = _GramEvaluator(values)
+    id_rank = np.argsort(np.argsort(m.task_ids))
+    remaining = np.arange(m.n_tasks)
+    order, trajectory = [], []
+    for _ in range(k):
+        eds = ev.candidate_ed(remaining)
+        pos = np.lexsort((id_rank[remaining], -variances[remaining], -eds))[0]
+        best_t = int(remaining[pos])
+        trajectory.append(ev.add(best_t))
+        remaining = np.delete(remaining, pos)
+        order.append(best_t)
+    return order, trajectory
+
+
+def discrimination_reference(values):
+    """Per-row loop: point-biserial correlation of each row with the totals."""
+    totals = values.mean(axis=0)
+    out = np.zeros(values.shape[0])
+    t_std = totals.std()
+    if t_std == 0.0:
+        return out
+    tc = totals - totals.mean()
+    for i, row in enumerate(values):
+        r_std = row.std()
+        if r_std > 0.0:
+            out[i] = float(np.dot(row - row.mean(), tc) / (values.shape[1] * r_std * t_std))
+    return out
+
+
+def baseline_order_reference(m, k, method):
+    """Task positions picked by the sort-key baselines, via ``sorted``."""
+    values = m.dense_values()
+    n_tasks = m.n_tasks
+    if method == "max_variance":
+        variances = values.var(axis=1)
+        return sorted(range(n_tasks), key=lambda t: (-variances[t], m.task_ids[t]))[:k]
+    if method == "irt_discrimination":
+        disc = discrimination_reference(values)
+        return sorted(range(n_tasks), key=lambda t: (-disc[t], m.task_ids[t]))[:k]
+    pool, _ = ed_greedy_reference(m, min(2 * k, n_tasks))
+    disc = discrimination_reference(values)
+    return sorted(pool, key=lambda t: (-disc[t], m.task_ids[t]))[:k]
+
+
+@st.composite
+def tied_grids(draw):
+    """Binary grids full of exact ties: copied rows, rows that permute another
+    row's cells (equal variance), and shuffled unpadded ids, so string order
+    differs from row order. Returns (matrix, k) with k up to T."""
+    t = draw(st.integers(2, 24))
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = (rng.random((t, n)) < draw(st.sampled_from([0.2, 0.5, 0.8]))).astype(float)
+    copies = draw(st.integers(0, t - 1))
+    arr[rng.integers(0, t, copies)] = arr[rng.integers(0, t, copies)]
+    shuffled = draw(st.integers(0, t - 1))
+    dest = rng.integers(0, t, shuffled)
+    arr[dest] = rng.permuted(arr[rng.integers(0, t, shuffled)], axis=1)
+    assume(np.any(arr.var(axis=1) > 0.0))
+    ids = [f"t{i}" for i in rng.permutation(t)]
+    m = score_matrix(ids, [f"m{j}" for j in range(n)], arr)
+    return m, draw(st.integers(1, t))
 
 
 def binary(arr, prefix="t"):
@@ -209,6 +279,58 @@ class TestEdGreedy:
         final = res.ed_trajectory[-1]
         assert final <= 10 + 1e-9
         assert final <= pool.n_models + 1e-9
+
+
+class TestMatchesFullSortReference:
+    """The O(T) picks equal the full-sort selection bit for bit under ties."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_grids())
+    def test_ed_greedy(self, grid):
+        m, k = grid
+        order, trajectory = ed_greedy_reference(m, k)
+        res = ed_greedy(m, k)
+        assert res.selected == tuple(m.task_ids[t] for t in order)
+        assert res.ed_trajectory == tuple(trajectory)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_grids(), st.sampled_from(["max_variance", "irt_discrimination", "two_stage"]))
+    def test_baselines(self, grid, method):
+        m, k = grid
+        order = baseline_order_reference(m, k, method)
+        ev = _GramEvaluator(m.dense_values())
+        res = baseline_select(m, k, method)
+        assert res.selected == tuple(m.task_ids[t] for t in order)
+        assert res.ed_trajectory == tuple(ev.add(t) for t in order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(2, 40),
+        st.sampled_from(["binary", "continuous", "rounded"]),
+    )
+    def test_discrimination_bitwise(self, seed, t, n, kind):
+        rng = np.random.default_rng(seed)
+        values = rng.random((t, n))
+        if kind == "binary":
+            values = (values < 0.5).astype(float)
+        elif kind == "rounded":
+            values = np.round(values, 1)
+        values[rng.integers(0, t, t // 3)] = values[rng.integers(0, t, t // 3)]
+        values[rng.integers(0, t, t // 4)] = 0.5  # zero-variance rows
+        expect = discrimination_reference(values)
+        assert _discrimination(values).tobytes() == expect.tobytes()
+        rows = rng.integers(0, t, rng.integers(1, t + 1))
+        assert _discrimination(values, rows).tobytes() == expect[rows].tobytes()
+
+    def test_discrimination_constant_totals(self):
+        # every column holds the same multiset, so every model total is equal
+        base = np.array([0.0, 1.0, 1.0, 0.25])
+        values = np.column_stack([np.roll(base, j) for j in range(6)])
+        assert values.mean(axis=0).std() == 0.0
+        assert _discrimination(values).tobytes() == discrimination_reference(values).tobytes()
+        assert not _discrimination(values).any()
 
 
 class TestBaselines:
