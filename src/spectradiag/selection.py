@@ -8,7 +8,9 @@ recomputation. A step costs the O(T * N) Gram column plus an O(T) pick:
 one candidate-ED pass over all tasks, with the tie-break applied to the
 exact maxima only, so k steps cost O(k * T * N). The discrimination
 baselines take the row statistics in whole-array passes, O(T * N), and every
-ranking by (score desc, task id asc) is one ``np.lexsort``.
+ranking by (score desc, task id asc) is one ``np.lexsort``. The k-medoids
+baseline scores PAM swaps with incremental FastPAM1 deltas over blocks of
+unit task rows, so it forms no T x T distance matrix either.
 """
 
 from __future__ import annotations
@@ -104,6 +106,12 @@ class _GramEvaluator:
         live = nfro > 0.0
         return np.where(live, ntr * ntr / np.where(live, nfro, 1.0), 0.0)
 
+    def reset(self) -> None:
+        """Empty the selection; the centered grid and its diagonal stay."""
+        self.trace = 0.0
+        self.fro2 = 0.0
+        self.cross = np.zeros(self.xc.shape[0])
+
     def add(self, t: int) -> float:
         ed = float(self.candidate_ed(t))
         self.trace += self.diag[t]
@@ -125,12 +133,11 @@ def _best_first(scores: np.ndarray, task_ids) -> np.ndarray:
 
 def _trajectory_and_result(
     m: ScoreMatrix,
-    values: np.ndarray,
+    ev: _GramEvaluator,
     order: list[int],
     method: str,
     seed: int | None,
 ) -> SelectionResult:
-    ev = _GramEvaluator(values)
     trajectory = [ev.add(t) for t in order]
     selected = tuple(m.task_ids[t] for t in order)
     tau = ranking_fidelity(m, selected)
@@ -143,22 +150,17 @@ def _trajectory_and_result(
     )
 
 
-def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
-    """Iteratively add the task with the largest marginal ED gain.
-
-    Deterministic: ED ties break by higher task variance, then by task id.
-    """
-    values = m.dense_values()
-    n_tasks = m.n_tasks
-    if not 1 <= k <= n_tasks:
-        raise ValueError(f"budget k must lie in [1, {n_tasks}]")
+def _greedy_order(
+    ev: _GramEvaluator, values: np.ndarray, task_ids, k: int
+) -> tuple[list[int], list[float]]:
+    """The k greedy picks, added to ``ev``, and the ED after each pick."""
+    n_tasks = values.shape[0]
     variances = _task_variances(values)
     if np.all(variances == 0.0):
         raise ValueError("all tasks are degenerate (zero variance)")
-    ev = _GramEvaluator(values)
     # tie priority: position in the (variance desc, id asc) order
     priority = np.empty(n_tasks, dtype=np.intp)
-    priority[_best_first(variances, m.task_ids)] = np.arange(n_tasks)
+    priority[_best_first(variances, task_ids)] = np.arange(n_tasks)
     taken = np.zeros(n_tasks, dtype=bool)
     order: list[int] = []
     trajectory: list[float] = []
@@ -170,6 +172,18 @@ def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
         trajectory.append(ev.add(best_t))
         taken[best_t] = True
         order.append(best_t)
+    return order, trajectory
+
+
+def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
+    """Iteratively add the task with the largest marginal ED gain.
+
+    Deterministic: ED ties break by higher task variance, then by task id.
+    """
+    values = m.dense_values()
+    if not 1 <= k <= m.n_tasks:
+        raise ValueError(f"budget k must lie in [1, {m.n_tasks}]")
+    order, trajectory = _greedy_order(_GramEvaluator(values), values, m.task_ids, k)
     selected = tuple(m.task_ids[t] for t in order)
     return SelectionResult(
         method="ed_greedy",
@@ -203,52 +217,134 @@ def _discrimination(values: np.ndarray, rows=slice(None)) -> np.ndarray:
     return out
 
 
-def _profile_distances(values: np.ndarray) -> np.ndarray:
-    """1 - |pearson| distances between task rows; degenerate rows sit at 1."""
-    t = values.shape[0]
-    std = values.std(axis=1)
-    centered = values - values.mean(axis=1, keepdims=True)
-    dist = np.ones((t, t))
-    live = std > 0.0
-    if live.any():
-        sub = centered[live]
-        norm = np.linalg.norm(sub, axis=1)
-        corr = (sub @ sub.T) / np.outer(norm, norm)
-        idx = np.flatnonzero(live)
-        dist[np.ix_(idx, idx)] = 1.0 - np.abs(np.clip(corr, -1.0, 1.0))
-    np.fill_diagonal(dist, 0.0)
-    return dist
+# Task rows per distance block in ``_k_medoids``: a block holds a few B x T
+# arrays, so the swap search needs O(B * T) memory beyond the unit rows.
+_MEDOID_BLOCK = 128
+
+
+def _unit_rows(values: np.ndarray) -> np.ndarray:
+    """Task-centered rows scaled to unit norm; constant rows stay zero."""
+    z = values - values.mean(axis=1, keepdims=True)
+    norm = np.sqrt(np.einsum("ij,ij->i", z, z))
+    z /= np.where(norm > 0.0, norm, 1.0)[:, None]
+    return z
+
+
+def _distance_rows(z: np.ndarray, rows: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """1 - |pearson| from tasks ``rows`` to every task, 0 from a task to itself,
+    written into ``work[0]``.
+
+    A constant task has a zero unit row, so it sits at distance 1 from every
+    other task.
+    """
+    d = work[0, : rows.size]
+    np.matmul(z[rows], z.T, out=d)
+    np.abs(d, out=d)
+    np.minimum(d, 1.0, out=d)
+    np.subtract(1.0, d, out=d)
+    d[np.arange(rows.size), rows] = 0.0
+    return d
+
+
+def _nearest_two(to_medoids: np.ndarray):
+    """Each task's nearest medoid column, its distance and the second-nearest
+    distance (inf with one medoid)."""
+    nearest = to_medoids.argmin(axis=1)
+    cost = to_medoids[np.arange(to_medoids.shape[0]), nearest]
+    if to_medoids.shape[1] > 1:
+        second = np.partition(to_medoids, 1, axis=1)[:, 1]
+    else:
+        second = np.full(to_medoids.shape[0], np.inf)
+    return nearest, cost, second
+
+
+def _swap_terms(d, cost, second, nearest, k: int, work: np.ndarray):
+    """FastPAM1 terms of the tasks whose distance rows are ``d``.
+
+    Returns the shared term, sum of min(d, cost) - cost = min(d - cost, 0)
+    per candidate, and the k x T term grouped by nearest medoid, sum of
+    min(d, second) - min(d, cost) = clip(d - cost, 0, second - cost); a task
+    whose ``nearest`` is -1 joins no group. Both are formed in ``work[1:]``:
+    a fresh B x T array per call would cost more than the arithmetic.
+    """
+    e = np.subtract(d, cost[:, None], out=work[1, : d.shape[0]])
+    g = np.minimum(e, (second - cost)[:, None], out=work[2, : d.shape[0]])
+    np.maximum(g, 0.0, out=g)
+    np.minimum(e, 0.0, out=e)
+    member = (nearest[:, None] == np.arange(k)).astype(float)
+    return e.sum(axis=0), member.T @ g
 
 
 def _k_medoids(values: np.ndarray, k: int, seed: int, max_swaps: int = 50) -> list[int]:
     """PAM swaps from a seeded start, all k x T swaps scored per round.
 
-    Following FastPAM1 (Schubert & Rousseeuw), the change in total cost of
-    swapping medoid m for candidate c is a term shared by every medoid plus
-    a sum over the tasks whose nearest medoid is m. Each round costs
-    O(k * T^2) in one matrix product and takes the first best swap in
-    (medoid position, candidate) order if it lowers the cost by over 1e-12.
+    Distances are 1 - |pearson| between task rows, taken from the unit rows Z
+    of the task-centered grid; only the T x k distances to the medoids are
+    kept. Following FastPAM1 (Schubert & Rousseeuw), the change in total cost
+    of swapping medoid m for candidate c is a term shared by every medoid
+    plus a term summed over the tasks whose nearest medoid is m. The first
+    round sums both over blocks of ``_MEDOID_BLOCK`` task rows, one
+    ``Z_B @ Z.T`` product each, O(T^2 * N). A swap changes the nearest
+    medoid, cost or second-nearest distance of a set C of tasks; only their
+    terms are recomputed (old subtracted, new added), O(|C| * T * N) per
+    swap plus O(T * k) to refresh the nearest medoids. Memory is
+    O(T * (N + k) + B * T). Each round takes the smallest change; changes
+    within 1e-12 of it tie, and the first in (medoid position, candidate)
+    order wins, where positions follow the sorted medoid ids. The swap is
+    made only if the change is below -1e-12.
     """
-    dist = _profile_distances(values)
+    z = _unit_rows(values)
     t = values.shape[0]
     rng = np.random.default_rng(seed)
-    medoids = sorted(rng.choice(t, size=k, replace=False).tolist())
+    medoids = np.sort(rng.choice(t, size=k, replace=False))
+    # column j holds the distances to medoids[j]; columns keep their slot
+    # when a swap replaces the medoid, so ``nearest`` indexes slots
+    to_medoids = 1.0 - np.minimum(np.abs(z @ z[medoids].T), 1.0)
+    to_medoids[medoids, np.arange(k)] = 0.0
+    nearest, cost, second = _nearest_two(to_medoids)
+    shared = np.zeros(t)
+    grouped = np.zeros((k, t))
+    work = np.empty((3, min(_MEDOID_BLOCK, t), t))
+    for start in range(0, t, _MEDOID_BLOCK):
+        rows = np.arange(start, min(start + _MEDOID_BLOCK, t))
+        d = _distance_rows(z, rows, work)
+        s, g = _swap_terms(d, cost[rows], second[rows], nearest[rows], k, work)
+        shared += s
+        grouped += g
     for _ in range(max_swaps):
-        to_medoids = dist[:, medoids]
-        nearest = to_medoids.argmin(axis=1)
-        cost = to_medoids.min(axis=1)
-        second = np.partition(to_medoids, 1, axis=1)[:, 1] if k > 1 else np.full(t, np.inf)
-        kept = np.minimum(dist, cost[:, None])
-        delta = (kept - cost[:, None]).sum(axis=0) + np.eye(k)[nearest].T @ (
-            np.minimum(dist, second[:, None]) - kept
-        )
+        delta = shared + grouped
         delta[:, medoids] = np.inf
-        mi, cand = np.unravel_index(np.argmin(delta), delta.shape)
-        if not delta[mi, cand] < -1e-12:
+        best = delta.min()
+        if not best < -1e-12:
             break
-        medoids[mi] = int(cand)
-        medoids.sort()
-    return sorted(medoids)
+        by_id = np.argsort(medoids)
+        pos, cand = divmod(int(np.argmax(delta[by_id].ravel() <= best + 1e-12)), t)
+        slot = by_id[pos]
+        medoids[slot] = cand
+        to_medoids[:, slot] = 1.0 - np.minimum(np.abs(z @ z[cand]), 1.0)
+        to_medoids[cand, slot] = 0.0
+        old_nearest, old_cost, old_second = nearest, cost, second
+        nearest, cost, second = _nearest_two(to_medoids)
+        changed = np.flatnonzero(
+            (nearest != old_nearest)
+            | (old_nearest == slot)
+            | (cost != old_cost)
+            | (second != old_second)
+        )
+        # every old member of the slot is in ``changed``; drop the slot's
+        # old group outright instead of subtracting its terms
+        grouped[slot] = 0.0
+        old_nearest = np.where(old_nearest == slot, -1, old_nearest)
+        for start in range(0, changed.size, _MEDOID_BLOCK):
+            rows = changed[start : start + _MEDOID_BLOCK]
+            d = _distance_rows(z, rows, work)
+            s, g = _swap_terms(d, old_cost[rows], old_second[rows], old_nearest[rows], k, work)
+            shared -= s
+            grouped -= g
+            s, g = _swap_terms(d, cost[rows], second[rows], nearest[rows], k, work)
+            shared += s
+            grouped += g
+    return sorted(medoids.tolist())
 
 
 def baseline_select(
@@ -266,6 +362,7 @@ def baseline_select(
         raise ValueError(f"budget k must lie in [1, {n_tasks}]")
     if method == "ed_greedy":
         return ed_greedy(m, k)
+    ev = _GramEvaluator(values)
     if method == "random":
         rng = np.random.default_rng(seed)
         order = rng.permutation(n_tasks)[:k].tolist()
@@ -276,12 +373,13 @@ def baseline_select(
     elif method == "k_medoids":
         order = _k_medoids(values, k, seed, max_swaps)
     elif method == "two_stage":
-        pool = np.array([m.task_index(t) for t in ed_greedy(m, min(2 * k, n_tasks)).selected])
+        pool = np.array(_greedy_order(ev, values, m.task_ids, min(2 * k, n_tasks))[0])
+        ev.reset()
         disc = _discrimination(values, pool)
         order = pool[_best_first(disc, [m.task_ids[t] for t in pool])[:k]].tolist()
     else:
         raise ValueError(f"unknown selection method: {method!r}")
-    return _trajectory_and_result(m, values, list(order), method, seed)
+    return _trajectory_and_result(m, ev, list(order), method, seed)
 
 
 def ranking_fidelity(m: ScoreMatrix, selected) -> float:

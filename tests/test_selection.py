@@ -22,7 +22,6 @@ from spectradiag.selection import (
     _discrimination,
     _GramEvaluator,
     _k_medoids,
-    _profile_distances,
 )
 
 
@@ -81,10 +80,54 @@ def submodularity_reference(values, samples, seed):
     return np.asarray(gammas), negative
 
 
+def profile_distances_reference(values):
+    """Dense T x T 1 - |pearson| distances between task rows; degenerate rows
+    sit at 1, the diagonal at 0."""
+    t = values.shape[0]
+    std = values.std(axis=1)
+    centered = values - values.mean(axis=1, keepdims=True)
+    dist = np.ones((t, t))
+    live = std > 0.0
+    if live.any():
+        sub = centered[live]
+        norm = np.linalg.norm(sub, axis=1)
+        corr = (sub @ sub.T) / np.outer(norm, norm)
+        idx = np.flatnonzero(live)
+        dist[np.ix_(idx, idx)] = 1.0 - np.abs(np.clip(corr, -1.0, 1.0))
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def k_medoids_dense_reference(values, k, seed, max_swaps=50):
+    """Dense FastPAM1: every round recomputes all k x T swap deltas from the
+    T x T distances. The smallest delta wins; deltas within 1e-12 of it tie
+    and go to the first in (medoid position, candidate) order."""
+    dist = profile_distances_reference(values)
+    t = values.shape[0]
+    medoids = sorted(np.random.default_rng(seed).choice(t, size=k, replace=False).tolist())
+    for _ in range(max_swaps):
+        to_medoids = dist[:, medoids]
+        nearest = to_medoids.argmin(axis=1)
+        cost = to_medoids.min(axis=1)
+        second = np.partition(to_medoids, 1, axis=1)[:, 1] if k > 1 else np.full(t, np.inf)
+        kept = np.minimum(dist, cost[:, None])
+        delta = (kept - cost[:, None]).sum(axis=0) + np.eye(k)[nearest].T @ (
+            np.minimum(dist, second[:, None]) - kept
+        )
+        delta[:, medoids] = np.inf
+        best = delta.min()
+        if not best < -1e-12:
+            break
+        mi, cand = np.unravel_index(np.argmax(delta <= best + 1e-12), delta.shape)
+        medoids[mi] = int(cand)
+        medoids.sort()
+    return sorted(medoids)
+
+
 def k_medoids_reference(values, k, seed, max_swaps=50):
     """Per-swap oracle: every (medoid, candidate) swap costed by its own pass;
     the first swap that beats the running best by 1e-12 wins."""
-    dist = _profile_distances(values)
+    dist = profile_distances_reference(values)
     t = values.shape[0]
     medoids = sorted(np.random.default_rng(seed).choice(t, size=k, replace=False).tolist())
     for _ in range(max_swaps):
@@ -373,6 +416,38 @@ class TestBaselines:
         assert _k_medoids(values, k, seed, max_swaps) == k_medoids_reference(
             values, k, seed, max_swaps
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(2, 300),
+        n=st.integers(3, 12),
+        k=st.integers(1, 20),
+        rate=st.sampled_from([0.2, 0.5, 0.8]),
+    )
+    def test_k_medoids_matches_dense_reference_under_ties(self, seed, t, n, k, rate):
+        # binary rows with copied and constant rows: many swap deltas tie
+        # exactly, so the incremental deltas must keep the dense tie rule
+        assume(k <= t)
+        rng = np.random.default_rng(seed)
+        values = (rng.random((t, n)) < rate).astype(float)
+        copies = rng.integers(0, t // 2 + 1)
+        values[rng.integers(0, t, copies)] = values[rng.integers(0, t, copies)]
+        values[rng.integers(0, t, rng.integers(0, t // 4 + 1))] = float(rng.integers(0, 2))
+        assert _k_medoids(values, k, seed) == k_medoids_dense_reference(values, k, seed)
+
+    def test_k_medoids_memory_linear_in_tasks(self):
+        # a T x T distance matrix alone would take 72 MB, 30x the grid's
+        # bytes; the first round sets the peak, so two swaps suffice
+        rng = np.random.default_rng(8)
+        values = (rng.random((3000, 100)) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            _k_medoids(values, 16, 0, max_swaps=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * values.nbytes
 
     def test_discrimination_selects_aligned_tasks(self):
         rng = np.random.default_rng(1)
