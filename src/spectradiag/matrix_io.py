@@ -8,12 +8,16 @@ It also owns the CSV grid format, header ``<corner>,<col_id>,...`` and one
 labelled row per id: ``_read_csv_grid`` parses and rejects (with
 ``file:line``) every matrix, suite and ED-series file, and
 ``_write_csv_grid`` writes matrices, correlation matrices and ED series.
+The writer runs ``csv.writer`` only for the header and the row id fields and
+joins each row's value cells itself, so its floor is one ``repr`` per cell,
+about 1 us for a 17-digit value.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -45,8 +49,8 @@ class ScoreMatrix:
     """A tasks x models score grid with an explicit missing mask.
 
     ``values`` holds NaN at masked cells so accidental use of missing scores
-    fails loudly; the ``missing`` mask is authoritative. Both are private,
-    read-only copies made once at construction.
+    fails loudly; the ``missing`` mask is authoritative. Both are private and
+    read-only: the constructor copies the caller's arrays once.
     """
 
     task_ids: tuple[str, ...]
@@ -56,8 +60,24 @@ class ScoreMatrix:
     kind: str  # "binary" | "continuous"
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        missing = np.array(self.missing, dtype=bool)
+        self._adopt(np.array(self.values, dtype=float), np.array(self.missing, dtype=bool))
+
+    @classmethod
+    def _owning(cls, task_ids, model_ids, values: np.ndarray, missing: np.ndarray):
+        """``score_matrix`` for a float64 grid and bool mask this module has
+        just made: it folds NaN into the mask and keeps both arrays without
+        copying them. Arrays from callers go through the constructor, which
+        copies."""
+        missing |= ~np.isfinite(values)
+        m = cls.__new__(cls)
+        object.__setattr__(m, "task_ids", task_ids)
+        object.__setattr__(m, "model_ids", model_ids)
+        object.__setattr__(m, "kind", _infer_kind(values, missing))
+        m._adopt(values, missing)
+        return m
+
+    def _adopt(self, values: np.ndarray, missing: np.ndarray) -> None:
+        """Validate, write NaN at the missing cells, freeze and keep both arrays."""
         task_ids = tuple(str(t) for t in self.task_ids)
         model_ids = tuple(str(m) for m in self.model_ids)
         if values.ndim != 2:
@@ -92,7 +112,7 @@ class ScoreMatrix:
         if frac > MISSING_WARN_FRACTION:
             warnings.warn(
                 f"missing fraction {frac:.3f} exceeds {MISSING_WARN_FRACTION}",
-                stacklevel=3,
+                stacklevel=4,
             )
         values.flags.writeable = False
         missing.flags.writeable = False
@@ -145,7 +165,7 @@ class ScoreMatrix:
 
     def subset_tasks(self, task_ids) -> "ScoreMatrix":
         idx = [self.task_index(t) for t in task_ids]
-        return score_matrix(
+        return ScoreMatrix._owning(
             [self.task_ids[i] for i in idx],
             self.model_ids,
             self.values[idx],
@@ -154,7 +174,7 @@ class ScoreMatrix:
 
     def subset_models(self, model_ids) -> "ScoreMatrix":
         idx = [self.model_index(m) for m in model_ids]
-        return score_matrix(
+        return ScoreMatrix._owning(
             self.task_ids,
             [self.model_ids[j] for j in idx],
             self.values[:, idx],
@@ -305,12 +325,30 @@ def _check_unique(path, ids: list[str], linenos: list[int], kind: str) -> None:
 
 def _write_csv_grid(path, corner: str, row_ids, col_ids, values) -> None:
     """Write the grid layout ``_read_csv_grid`` reads: NaN as an empty field,
-    every other value as ``repr(float)``."""
+    every other value as ``repr(float)``.
+
+    ``csv.writer`` formats and quotes only the header and each row's id
+    field, so ids keep its quoting and its text for non-``str`` ids. The
+    value cells of a row are one ``",".join``: no ``repr`` of a float holds
+    a character that needs quoting. The cost is T*N ``repr`` calls, about
+    1 us each for a 17-digit value and the floor of this text format, with
+    the N strings of one row alive at a time. A grid with rows but no value
+    columns is rejected, as the reader would reject the file.
+    """
+    values = np.asarray(values, dtype=float)
+    if len(values) and values.shape[1] == 0:
+        raise MatrixValidationError("a CSV grid needs at least one value column")
+    id_buf = io.StringIO()
+    id_writer = csv.writer(id_buf)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([corner, *col_ids])
-        for row_id, row in zip(row_ids, np.asarray(values, dtype=float)):
-            writer.writerow([row_id, *("" if v != v else repr(v) for v in row.tolist())])
+        csv.writer(fh).writerow([corner, *col_ids])
+        for row_id, row in zip(row_ids, values):
+            id_buf.seek(0)
+            id_buf.truncate()
+            # "<id>,\r\n": the id field as csv.writer writes it, then a comma
+            id_writer.writerow([row_id, ""])
+            cells = ",".join(["" if v != v else repr(v) for v in row.tolist()])
+            fh.write(id_buf.getvalue()[:-2] + cells + "\r\n")
 
 
 def _load_json(path) -> ScoreMatrix:
@@ -472,8 +510,7 @@ def impute_missing(m: ScoreMatrix) -> ScoreMatrix:
             raise MatrixValidationError(f"model {model!r} has no observed scores")
         if col_missing.any():
             values[col_missing, j] = values[~col_missing, j].mean()
-    missing = np.zeros_like(m.missing)
-    return score_matrix(m.task_ids, m.model_ids, values, missing)
+    return ScoreMatrix._owning(m.task_ids, m.model_ids, values, np.zeros_like(m.missing))
 
 
 def drop_degenerate_tasks(m: ScoreMatrix) -> tuple[ScoreMatrix, list[str]]:
@@ -483,7 +520,7 @@ def drop_degenerate_tasks(m: ScoreMatrix) -> tuple[ScoreMatrix, list[str]]:
     dropped = [t for t, k in zip(m.task_ids, keep) if not k]
     if not keep.any():
         raise MatrixValidationError("all task rows are degenerate")
-    kept = score_matrix(
+    kept = ScoreMatrix._owning(
         [t for t, k in zip(m.task_ids, keep) if k],
         m.model_ids,
         values[keep],

@@ -17,7 +17,10 @@ from spectradiag import (
     save_matrix,
     score_matrix,
 )
-from spectradiag.matrix_io import MatrixValidationError
+from spectradiag.association import pairwise_correlation, save_corr_csv
+from spectradiag.cli import main
+from spectradiag.matrix_io import MatrixValidationError, _read_csv_grid, _write_csv_grid
+from spectradiag.temporal import EdSeries
 
 
 def write(path, text):
@@ -153,6 +156,39 @@ def reference_json_writer(m, path):
         json.dump(payload, fh)
 
 
+# Text with every character csv.writer quotes for, edge spaces and non-ASCII.
+AWKWARD_TEXT = st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "b", "é", "漢"], max_size=6)
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e-5, 1e16, np.nan]
+CELLS_ANY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES)
+)
+UNIT_CELLS = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1.0, np.nan])
+)
+
+
+def grid_rows(n, cells):
+    """One row of n cells, sometimes all NaN."""
+    return st.one_of(st.just([np.nan] * n), st.lists(cells, min_size=n, max_size=n))
+
+
+@st.composite
+def csv_grids(draw):
+    """(corner, row_ids, col_ids, values) that the grid reader can read back:
+    ids unique once stripped, and no row that is blank from id to last cell."""
+    t, n = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    row_ids = draw(st.one_of(
+        st.lists(AWKWARD_TEXT.filter(str.strip), min_size=t, max_size=t, unique_by=str.strip),
+        st.lists(st.integers(-(10**20), 10**20), min_size=t, max_size=t, unique=True),
+        st.lists(st.floats(allow_nan=False), min_size=t, max_size=t, unique_by=repr),
+        st.lists(st.floats(allow_nan=False).map(np.float64), min_size=t, max_size=t,
+                 unique_by=lambda v: repr(float(v))),
+    ))
+    col_ids = draw(st.lists(AWKWARD_TEXT, min_size=n, max_size=n, unique_by=str.strip))
+    rows = draw(st.lists(grid_rows(n, CELLS_ANY), min_size=t, max_size=t))
+    return draw(AWKWARD_TEXT), row_ids, col_ids, np.array(rows, dtype=float).reshape(t, n)
+
+
 class TestWriterBytes:
     @pytest.fixture
     def awkward(self):
@@ -182,6 +218,78 @@ class TestWriterBytes:
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
         back = load_matrix(tmp_path / "new.json", format="json")
         assert np.array_equal(back.values, awkward.values, equal_nan=True)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_grids())
+    def test_csv_grid_bytes_equal_reference_writer(self, tmp_path, grid):
+        corner, row_ids, col_ids, values = grid
+        _write_csv_grid(tmp_path / "new.csv", corner, row_ids, col_ids, values)
+        reference_csv_writer(tmp_path / "old.csv", corner, row_ids, col_ids, values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        if not row_ids:
+            return  # a header-only file, which the reader rejects
+        _, back_rows, back_cols, back, missing, _ = _read_csv_grid(
+            tmp_path / "new.csv", "row", "column"
+        )
+        # csv.writer writes a float id (np.float64 included) as its float repr
+        ids = [repr(float(r)) if isinstance(r, float) else str(r) for r in row_ids]
+        assert back_rows == [i.strip() for i in ids]
+        assert back_cols == [c.strip() for c in col_ids]
+        assert np.array_equal(missing, np.isnan(values))
+        assert back[~missing].tobytes() == values[~missing].tobytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 5).flatmap(lambda t: st.integers(2, 4).flatmap(
+        lambda n: st.lists(grid_rows(n, UNIT_CELLS), min_size=t, max_size=t))))
+    def test_load_matrix_reads_back_every_bit(self, tmp_path, rows):
+        t, n = len(rows), len(rows[0])
+        m = score_matrix([f"t{i}" for i in range(t)], [f"m{j}" for j in range(n)], rows)
+        save_matrix(m, tmp_path / "new.csv")
+        reference_csv_writer(tmp_path / "old.csv", "task_id", m.task_ids, m.model_ids, m.values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        back = load_matrix(tmp_path / "new.csv")
+        # -0.0 and 5e-324 keep their bits; NaN sits at the same missing cells
+        assert back.values.tobytes() == m.values.tobytes()
+        assert np.array_equal(back.missing, m.missing)
+
+    def test_grid_without_value_columns(self, tmp_path):
+        with pytest.raises(MatrixValidationError, match="at least one value column"):
+            _write_csv_grid(tmp_path / "g.csv", "id", ["a"], [], np.zeros((1, 0)))
+        _write_csv_grid(tmp_path / "new.csv", "id", [], [], np.zeros((0, 0)))
+        reference_csv_writer(tmp_path / "old.csv", "id", [], [], np.zeros((0, 0)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_series_csv_bytes(self, tmp_path):
+        series = EdSeries(x=(-0.5, np.float64(1e-5), 3, 1e16), ed=(2.5, np.nan, -0.0, 5e-324))
+        series.save_csv(tmp_path / "new.csv")
+        ed = np.array(series.ed, dtype=float)[:, None]
+        reference_csv_writer(tmp_path / "old.csv", "x", series.x, ["ed"], ed)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_corr_csv_bytes(self, tmp_path):
+        rows = np.random.default_rng(5).standard_normal((4, 12))
+        rows[1] = 0.25  # degenerate: a NaN row and column
+        c = pairwise_correlation(rows, ids=["a,b", ' "q"', "é\n", "z"], method="pearson")
+        save_corr_csv(c, tmp_path / "new.csv")
+        reference_csv_writer(tmp_path / "old.csv", "id", c.ids, c.ids, c.values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_compress_csv_bytes(self, tmp_path, capsys):
+        vals = (np.random.default_rng(8).random((40, 6)) < 0.5).astype(float)
+        save_matrix(score_matrix([f"t{i}" for i in range(40)], list("abcdef"), vals),
+                    tmp_path / "m.csv")
+        code = main(["compress", "--matrix", str(tmp_path / "m.csv"), "--trials", "3",
+                     "--csv", str(tmp_path / "new.csv")])
+        assert code == 0
+        curve = json.loads(capsys.readouterr().out)["result"]["curve"]
+        grid = np.array([[f, np.nan if tau is None else tau] for f, tau in curve])
+        assert np.isfinite(grid[:, 1]).any()
+        reference_csv_writer(
+            tmp_path / "old.csv", "fraction", grid[:, 0], ["mean_tau"], grid[:, 1:]
+        )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_json_single_row_bytes(self, tmp_path):
         m = score_matrix(["t"], ["a", "b"], [[0.5, np.nan]])
@@ -378,6 +486,18 @@ class TestMemory:
     def test_csv_save_below_1_grid(self, grid, tmp_path):
         m = grid[0]
         assert self.peak_ratio(lambda: save_matrix(m, tmp_path / "out.csv")) < 1.0
+
+    @pytest.mark.parametrize("derive", ["subset_tasks", "subset_models", "impute_missing"])
+    def test_derived_matrix_below_1_75_results(self, grid, derive):
+        """A matrix the module derives keeps the array it gathered or filled:
+        no second copy in the constructor. The bound is in the result's bytes."""
+        m = grid[0]
+        fn = {
+            "subset_tasks": lambda: m.subset_tasks(m.task_ids[::2]),
+            "subset_models": lambda: m.subset_models(m.model_ids[::2]),
+            "impute_missing": lambda: impute_missing(m),
+        }[derive]
+        assert self.peak_ratio(fn, fn().shape) < 1.75
 
 
 class TestOneCopy:
