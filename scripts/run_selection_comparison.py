@@ -12,7 +12,6 @@ import csv
 from spectradiag import (
     IrtSpec,
     baseline_select,
-    ed_greedy,
     gen_irt_matrix,
     submodularity_probe,
 )
@@ -47,10 +46,7 @@ def main() -> None:
     print(f"{'method':<20} {'k':>5} {'ED':>8} {'tau':>7}")
     for k in budgets:
         for method in SELECTION_METHODS:
-            if method == "ed_greedy":
-                res = ed_greedy(m, k)
-            else:
-                res = baseline_select(m, k, method, seed=args.seed)
+            res = baseline_select(m, k, method, seed=args.seed)
             print(f"{method:<20} {k:>5} {res.ed_trajectory[-1]:>8.2f} {res.tau_vs_full:>7.3f}")
             rows.append((method, k, res.ed_trajectory[-1], res.tau_vs_full))
 

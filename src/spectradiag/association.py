@@ -524,7 +524,6 @@ def hierarchical_cluster(
         members[i] = tuple(sorted(a + b))
 
     groups: list[tuple[str, ...]] = [(i,) for i in ids]
-    applied = 0
     for a, b, d in merges:
         if n_groups is not None:
             if len(groups) <= n_groups:
@@ -533,7 +532,6 @@ def hierarchical_cluster(
             break
         groups = [g for g in groups if g not in (a, b)]
         groups.append(tuple(sorted(a + b)))
-        applied += 1
     return ClusterGrouping(
         ids=ids, merges=tuple(merges), groups=tuple(sorted(groups))
     )

@@ -42,10 +42,10 @@ from .matrix_io import (
     save_matrix,
 )
 from .nulls import build_ed_report
-from .selection import SELECTION_METHODS, baseline_select, compression_curve, ed_greedy
+from .selection import SELECTION_METHODS, baseline_select, compression_curve
 from .spectral import CENTERING_SCHEMES
 from .synthetic import LOADING_ORIENTATIONS, IrtSpec, gen_irt_matrix
-from .temporal import mann_kendall, saturation_fit, temporal_information_density
+from .temporal import EdSeries, mann_kendall, saturation_fit, temporal_information_density
 
 __all__ = ["main"]
 
@@ -192,10 +192,7 @@ def cmd_ceiling(args) -> int:
 
 def cmd_select(args) -> int:
     m, steps = _load_preprocessed(args)
-    if args.method == "ed_greedy":
-        res = ed_greedy(m, args.k)
-    else:
-        res = baseline_select(m, args.k, args.method, seed=args.seed)
+    res = baseline_select(m, args.k, args.method, seed=args.seed)
     result = res.to_dict()
     result["preprocessing"] = steps
     _emit(_envelope("select", args.seed, {"matrix": _digest(args.matrix)}, result), args.out)
@@ -249,8 +246,6 @@ def cmd_trend(args) -> int:
     if ed.size < 4:
         raise MatrixValidationError("trend test needs at least four series points")
     mk = mann_kendall(ed)
-    from .temporal import EdSeries
-
     tid = temporal_information_density(EdSeries(x=tuple(x), ed=tuple(ed)))
     result = {"tau": mk.tau, "p": mk.p, "s": mk.s, "tid_slope": tid, "points": int(x.size)}
     _emit(_envelope("trend", args.seed, {"series": _digest(args.series)}, result), args.out)

@@ -5,11 +5,11 @@ percentile bands, bootstrap confidence intervals, matched-dimension
 subsampling, split-half reliability, metadata AUC, and the classical
 factor-retention estimators used as cross-checks.
 
-The bootstrap takes every resample's ED from one QR factor of the centered
-grid, so its per-resample cost does not grow with T once T > N. The
-permutation and parallel-analysis nulls shuffle the whole grid in one
-``Generator.permuted`` call per replicate, into a buffer reused across
-replicates.
+The bootstrap scores its resamples through ``spectral._column_resample_eds``,
+which takes every resample's ED from one QR factor of the centered grid, so
+the per-resample cost does not grow with T once T > N. The permutation and
+parallel-analysis nulls shuffle the whole grid in one ``Generator.permuted``
+call per replicate, into a buffer reused across replicates.
 """
 
 from __future__ import annotations
@@ -175,41 +175,23 @@ def bootstrap_ed_ci(
     Degenerate resamples carry no spectrum and are skipped: those whose
     columns are all equal (every task row constant), under ``model`` also
     those whose columns are all constant, and under ``double`` those whose
-    columns all differ by constants. The grid is centered and QR-factored
-    once, and each resample's ED is taken from the resampled columns of the
-    min(T, N) x N factor, so R iterations cost O(T * N^2 + R * min(T, N) *
-    N^2) instead of a T x N copy and an O(T * N^2) Gram per resample.
+    columns all differ by constants; :func:`spectral._column_resample_eds`
+    owns that rule and scores the rest from one QR factor of the centered
+    grid, so R iterations cost O(T * N * min(T, N) + R * min(T, N)^2 * N)
+    instead of a T x N copy and a Gram per resample.
     """
     if m.n_models < 5:
         raise ValueError("bootstrap needs at least five model columns")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    values = m.dense_values()
-    # A resample is degenerate exactly when all its column labels are equal.
-    # A column is labelled by the first column equal to it; under "double" by
-    # the first with equal differences from its first cell, which are
-    # correctly rounded values of equal reals when two columns differ by a
-    # constant. Cells are finite and adding 0.0 turns -0.0 into 0.0, so
-    # equal bytes mean equal cells. Under "model" every constant column
-    # centers to zero, so they all share one label. Labelling one column at
-    # a time keeps the temporaries to one column.
-    first: dict[bytes, int] = {}
-    labels = np.array([
-        first.setdefault(((col - col[0] if scheme == "double" else col) + 0.0).tobytes(), j)
-        for j, col in enumerate(values.T)
-    ])
-    if scheme == "model":
-        labels[values.max(axis=0) == values.min(axis=0)] = -1
-    kept = []
-    for i in range(iterations):
-        rng = np.random.default_rng((seed, i))
-        idx = rng.integers(0, m.n_models, size=m.n_models)
-        if np.all(labels[idx] == labels[idx[0]]):
-            continue
-        kept.append(idx)
-    if not kept:
+    resamples = [
+        np.random.default_rng((seed, i)).integers(0, m.n_models, size=m.n_models)
+        for i in range(iterations)
+    ]
+    eds = _column_resample_eds(m.dense_values(), resamples, scheme)
+    eds = eds[~np.isnan(eds)]
+    if not eds.size:
         raise ValueError("every bootstrap resample was degenerate")
-    eds = _column_resample_eds(values, kept, scheme)
     alpha = (1.0 - level) / 2.0
     low, high = np.percentile(eds, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(low), float(high)
@@ -265,18 +247,12 @@ def split_half_reliability(
         denom = np.outer(np.linalg.norm(za, axis=0), np.linalg.norm(zb, axis=0))
         # a zero-norm loading correlates 0 with everything
         corr = np.abs(za.T @ zb) / np.where(denom > 0.0, denom, np.inf)
-        matched = np.zeros(k)
-        free_a = set(range(k))
-        free_b = set(range(k))
+        # Greedy match: the row-major first maximum is the largest correlation,
+        # ties to the lowest a then b; -1 retires a matched row and column.
         for _ in range(k):
-            best = max(
-                ((corr[i, j], i, j) for i in free_a for j in free_b),
-                key=lambda t: (t[0], -t[1], -t[2]),
-            )
-            matched[best[1]] = best[0]
-            free_a.discard(best[1])
-            free_b.discard(best[2])
-        sums += matched
+            i, j = divmod(int(np.argmax(corr)), k)
+            sums[i] += corr[i, j]
+            corr[i] = corr[:, j] = -1.0
     return sums / splits
 
 

@@ -131,21 +131,20 @@ def _best_first(scores: np.ndarray, task_ids) -> np.ndarray:
     return np.lexsort((id_rank, -scores))
 
 
-def _trajectory_and_result(
+def _selection_result(
     m: ScoreMatrix,
-    ev: _GramEvaluator,
     order: list[int],
+    trajectory: list[float],
     method: str,
     seed: int | None,
 ) -> SelectionResult:
-    trajectory = [ev.add(t) for t in order]
+    """The result for task positions ``order`` with the ED after each pick."""
     selected = tuple(m.task_ids[t] for t in order)
-    tau = ranking_fidelity(m, selected)
     return SelectionResult(
         method=method,
         selected=selected,
         ed_trajectory=tuple(trajectory),
-        tau_vs_full=tau,
+        tau_vs_full=ranking_fidelity(m, selected),
         seed=seed,
     )
 
@@ -184,14 +183,7 @@ def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
     if not 1 <= k <= m.n_tasks:
         raise ValueError(f"budget k must lie in [1, {m.n_tasks}]")
     order, trajectory = _greedy_order(_GramEvaluator(values), values, m.task_ids, k)
-    selected = tuple(m.task_ids[t] for t in order)
-    return SelectionResult(
-        method="ed_greedy",
-        selected=selected,
-        ed_trajectory=tuple(trajectory),
-        tau_vs_full=ranking_fidelity(m, selected),
-        seed=None,
-    )
+    return _selection_result(m, order, trajectory, "ed_greedy", None)
 
 
 def _discrimination(values: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -379,7 +371,7 @@ def baseline_select(
         order = pool[_best_first(disc, [m.task_ids[t] for t in pool])[:k]].tolist()
     else:
         raise ValueError(f"unknown selection method: {method!r}")
-    return _trajectory_and_result(m, ev, list(order), method, seed)
+    return _selection_result(m, order, [ev.add(t) for t in order], method, seed)
 
 
 def ranking_fidelity(m: ScoreMatrix, selected) -> float:

@@ -107,23 +107,54 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
 
 
-def _column_resample_eds(x: np.ndarray, resamples, scheme: str) -> np.ndarray:
-    """ED of ``x[:, idx]`` centered by ``scheme``, for each ``idx`` in ``resamples``.
+def _column_labels(x: np.ndarray, scheme: str) -> np.ndarray:
+    """Label each column of ``x`` by the first column equal to it; under
+    ``double`` by the first with equal differences from its first cell, which
+    are correctly rounded values of equal reals when two columns differ by a
+    constant. Cells are finite and adding 0.0 turns -0.0 into 0.0, so equal
+    bytes mean equal cells. Under ``model`` every constant column centers to
+    zero, so they all share one label. The columns are hashed as the rows of
+    one transposed copy, freed before the caller centers the grid.
+    """
+    cols = np.array(x.T, order="C")
+    if scheme == "double":
+        cols -= cols[:, :1]
+    cols += 0.0
+    first: dict[bytes, int] = {}
+    labels = np.array([first.setdefault(col.tobytes(), j) for j, col in enumerate(cols)])
+    if scheme == "model":
+        labels[x.max(axis=0) == x.min(axis=0)] = -1
+    return labels
 
-    Each ED is :func:`ed_of_matrix` of the ``idx`` columns of the
+
+def _column_resample_eds(x: np.ndarray, subsets, scheme: str) -> np.ndarray:
+    """ED of ``x[:, idx]`` centered by ``scheme``, for each ``idx`` in ``subsets``.
+
+    A degenerate subset, one with no spectrum, gets NaN and no
+    :func:`ed_of_matrix` call. It is degenerate exactly when all its
+    :func:`_column_labels` are equal. The rule is exact where centering is
+    not: three equal continuous columns task-center to rounding noise, not
+    to zero.
+
+    Every other ED is :func:`ed_of_matrix` of the ``idx`` columns of the
     min(T, N) x N factor R of a QR decomposition of the full grid Xc centered
     by ``scheme``. R^T R = Xc^T Xc, so the column Gram of R[:, idx] is that of
     Xc[:, idx], and a zero column of Xc stays exactly zero in R. Under
-    ``model`` and ``none`` that Gram is the resample's own. Under ``task`` and
-    ``double``, Xc[:, idx] differs from the centered resample only by a
+    ``model`` and ``none`` that Gram is the subset's own. Under ``task`` and
+    ``double``, Xc[:, idx] differs from the centered subset only by a
     constant along each task row, so centering the rows of R[:, idx] gives
-    the centered resample's Gram exactly. Cost: O(T * N^2) once, then
-    O(min(T, N) * n^2) per resample of n columns, with no T x n array per
-    resample when T > N.
+    the centered subset's Gram exactly. Cost: O(T * N * min(T, N)) once, then
+    O(min(T, N) * n * min(T, N, n)) per subset of n columns, with no T x n
+    array per subset when T > N.
     """
+    labels = _column_labels(x, scheme)
     factor = np.linalg.qr(center(x, scheme), mode="r")
-    resample_scheme = "task" if scheme in ("task", "double") else "none"
-    return np.array([ed_of_matrix(factor[:, idx], resample_scheme) for idx in resamples])
+    subset_scheme = "task" if scheme in ("task", "double") else "none"
+    return np.array([
+        np.nan if (labels[idx] == labels[idx[0]]).all()
+        else ed_of_matrix(factor[:, idx], subset_scheme)
+        for idx in subsets
+    ])
 
 
 def singular_spectrum(x) -> Spectrum:

@@ -5,6 +5,10 @@ standardized within windows), the Mann-Kendall monotone-trend test with tie
 correction, hyperbolic saturation fits, fixed-variance control subsets,
 cohort bootstrap comparison, and the diversity-insertion probe.
 
+ED against model count and the insertion probe score all their model subsets
+in one call of ``spectral._column_resample_eds``, the package's one path for
+the ED of a model-column subset.
+
 The cohort bootstrap scores all R resamples of S models over k benchmarks at
 once: each resample is a row of model multiplicities, and one product of that
 R x n count matrix with the n cohort models' values and pairwise products
@@ -21,7 +25,7 @@ import numpy as np
 
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _write_csv_grid
-from .spectral import _gram_ed, ed_of_matrix
+from .spectral import _column_resample_eds, _gram_ed, ed_of_matrix
 
 __all__ = [
     "CohortComparison",
@@ -246,27 +250,33 @@ def saturation_fit(points, max_refine: int = 100) -> SaturationFit:
     return SaturationFit(ed_inf=float(a), n_half=float(b), rss=best, boundary=boundary)
 
 
+def _subset_eds(m: ScoreMatrix, subsets) -> np.ndarray:
+    """Task-centered ED of each model-column subset; a degenerate one raises."""
+    eds = _column_resample_eds(m.dense_values(), subsets, "task")
+    if np.isnan(eds).any():
+        raise ValueError("all-zero spectrum: effective dimensionality undefined")
+    return eds
+
+
 def ed_vs_model_count(
     m: ScoreMatrix,
     counts,
     trials: int = 20,
     seed: int = 0,
 ) -> list[tuple[int, float, float]]:
-    """Mean/sd ED over random model subsets of each size."""
-    values = m.dense_values()
-    out = []
+    """Mean/sd ED over random model subsets of each size, all drawn first and
+    then scored in one :func:`_subset_eds` call."""
+    subsets = []
+    ends = []
     for ci, count in enumerate(counts):
         if not 2 <= count <= m.n_models:
             raise ValueError(f"count {count} outside [2, {m.n_models}]")
-        n_trials = 1 if count == m.n_models else trials
-        eds = []
-        for trial in range(n_trials):
+        for trial in range(1 if count == m.n_models else trials):
             rng = np.random.default_rng((seed, ci, trial))
-            cols = np.sort(rng.choice(m.n_models, size=count, replace=False))
-            eds.append(ed_of_matrix(values[:, cols]))
-        eds = np.asarray(eds)
-        out.append((int(count), float(eds.mean()), float(eds.std())))
-    return out
+            subsets.append(np.sort(rng.choice(m.n_models, size=count, replace=False)))
+        ends.append((int(count), len(subsets)))
+    parts = np.split(_subset_eds(m, subsets), [end for _, end in ends[:-1]])
+    return [(count, float(p.mean()), float(p.std())) for (count, _), p in zip(ends, parts)]
 
 
 def fixed_variance_subset(
@@ -390,16 +400,9 @@ def diversity_insertion_probe(
     early = [m.model_index(i) for i in early_ids]
     if not late or not early:
         raise ValueError("both cohorts must be nonempty")
-    values = m.dense_values()
-    base = ed_of_matrix(values[:, late])
-    increases = 0
-    for i in range(trials):
-        rng = np.random.default_rng((seed, i))
-        pick = int(rng.choice(early))
-        ed_new = ed_of_matrix(values[:, late + [pick]])
-        if ed_new > base:
-            increases += 1
-    return increases / trials
+    picks = [int(np.random.default_rng((seed, i)).choice(early)) for i in range(trials)]
+    eds = _subset_eds(m, [late] + [late + [pick] for pick in picks])
+    return int((eds[1:] > eds[0]).sum()) / trials
 
 
 def temporal_information_density(series: EdSeries) -> float:

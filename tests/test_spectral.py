@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectradiag import (
@@ -17,6 +17,7 @@ from spectradiag import (
     shannon_effective_rank,
     singular_spectrum,
 )
+import spectradiag.spectral as spectral
 from spectradiag.spectral import CENTERING_SCHEMES, _column_resample_eds
 
 spectra = st.lists(
@@ -270,6 +271,16 @@ class TestGramKernelAgainstSvd:
         np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-8, atol=1e-8 * top)
 
 
+def one_column_label(sub, scheme):
+    """Whether every column of ``sub`` carries one label: all columns equal,
+    under "double" all differing by constants, under "model" also all
+    constant."""
+    cols = sub - sub[0] if scheme == "double" else sub
+    if (cols == cols[:, :1]).all():
+        return True
+    return scheme == "model" and bool((sub == sub[0]).all())
+
+
 class TestColumnResampleEds:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -282,11 +293,26 @@ class TestColumnResampleEds:
         col_copies = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
         x = np.hstack([x, x[:, col_copies]])
         n = x.shape[1]
-        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
-        sub = x[:, idx]
-        # Resamples whose centered grid is zero have no spectrum; the
-        # bootstrap skips the ones with all columns equal.
-        assume(np.linalg.norm(center(sub, scheme)) > 1e-6)
-        got = _column_resample_eds(x, [idx], scheme)
-        assert got.shape == (1,)
-        assert math.isclose(got[0], ed_of_matrix(sub, scheme), rel_tol=1e-9)
+        subsets = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=3)
+        )
+        got = _column_resample_eds(x, [np.array(idx) for idx in subsets], scheme)
+        assert got.shape == (len(subsets),)
+        for ed, idx in zip(got, subsets):
+            sub = x[:, idx]
+            if one_column_label(sub, scheme):
+                assert math.isnan(ed)
+            else:
+                assert math.isclose(ed, ed_of_matrix(sub, scheme), rel_tol=1e-9)
+
+    def test_equal_continuous_columns_skip_ed_of_matrix(self, monkeypatch):
+        # Task-centering equal continuous columns leaves rounding noise, which
+        # the factor would score; the label rule marks them before any call.
+        x = np.random.default_rng(4).random((40, 7))
+        x[:, 3:] = x[:, [2]]
+        calls = []
+        monkeypatch.setattr(spectral, "ed_of_matrix", lambda *a: calls.append(a) or ed_of_matrix(*a))
+        got = _column_resample_eds(x, [[2, 3, 4, 5], [0, 2, 3]], "task")
+        assert math.isnan(got[0])
+        assert math.isclose(got[1], ed_of_matrix(x[:, [0, 2, 3]]), rel_tol=1e-9)
+        assert len(calls) == 1

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,53 @@ from spectradiag import (
     sliding_window_ed,
     temporal_information_density,
 )
+from spectradiag.spectral import _column_resample_eds
 from spectradiag.temporal import CohortComparison, _window_ed
+
+
+def quarter_matrix(draw):
+    """A partial-credit grid (cells in quarters) with some model columns
+    copied, so equal columns and all-equal subsets are common."""
+    t = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 10))
+    cells = draw(st.lists(st.integers(0, 4), min_size=t * n, max_size=t * n))
+    x = np.asarray(cells, dtype=float).reshape(t, n) / 4.0
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    x = np.hstack([x, x[:, copies]])
+    return score_matrix(
+        [f"t{i}" for i in range(t)], [f"m{j}" for j in range(x.shape[1])], x
+    )
+
+
+def ed_vs_model_count_reference(m, counts, trials, seed):
+    """One column slice and one ``ed_of_matrix`` call per subset."""
+    values = m.dense_values()
+    out = []
+    for ci, count in enumerate(counts):
+        n_trials = 1 if count == m.n_models else trials
+        eds = []
+        for trial in range(n_trials):
+            rng = np.random.default_rng((seed, ci, trial))
+            cols = np.sort(rng.choice(m.n_models, size=count, replace=False))
+            eds.append(ed_of_matrix(values[:, cols]))
+        eds = np.asarray(eds)
+        out.append((int(count), float(eds.mean()), float(eds.std())))
+    return out
+
+
+def insertion_reference(m, late_ids, early_ids, trials, seed):
+    """The late cohort's ED and, per trial, its ED with the drawn early model
+    inserted, one column slice and one ``ed_of_matrix`` call each."""
+    late = [m.model_index(i) for i in late_ids]
+    early = [m.model_index(i) for i in early_ids]
+    values = m.dense_values()
+    base = ed_of_matrix(values[:, late])
+    eds = []
+    for i in range(trials):
+        rng = np.random.default_rng((seed, i))
+        pick = int(rng.choice(early))
+        eds.append(ed_of_matrix(values[:, late + [pick]]))
+    return base, np.array(eds)
 
 
 def make_suite(table):
@@ -263,6 +310,35 @@ class TestEdVsModelCount:
         a = ed_vs_model_count(noise_matrix, [10, 20], trials=5, seed=2)
         assert a == ed_vs_model_count(noise_matrix, [10, 20], trials=5, seed=2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_subset_loop(self, data):
+        m = data.draw(st.composite(quarter_matrix)())
+        counts = data.draw(st.lists(st.integers(2, m.n_models), min_size=1, max_size=3))
+        trials = data.draw(st.integers(1, 5))
+        seed = data.draw(st.integers(0, 1000))
+        try:
+            want = ed_vs_model_count_reference(m, counts, trials, seed)
+        except ValueError:
+            # On quarter cells a subset of equal columns centers to exact
+            # zero, so the reference raises exactly when a subset is all equal.
+            with pytest.raises(ValueError, match="all-zero spectrum"):
+                ed_vs_model_count(m, counts, trials, seed)
+            return
+        got = ed_vs_model_count(m, counts, trials, seed)
+        assert [c for c, _, _ in got] == [c for c, _, _ in want]
+        for (_, mean, sd), (_, want_mean, want_sd) in zip(got, want):
+            assert mean == pytest.approx(want_mean, rel=1e-9)
+            assert sd == pytest.approx(want_sd, rel=1e-9, abs=1e-9 * want_mean)
+
+    def test_equal_continuous_columns_raise(self):
+        # Task-centering three equal continuous columns leaves rounding
+        # noise that ed_of_matrix would score as ED 1.
+        col = np.random.default_rng(3).random(20)
+        m = score_matrix([f"t{i}" for i in range(20)], ["a", "b", "c"], np.column_stack([col] * 3))
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            ed_vs_model_count(m, [3])
+
 
 class TestFixedVariance:
     def test_identical_cohort_distributions_kept(self):
@@ -426,6 +502,37 @@ class TestInsertionProbe:
         early = list(irt_k5.model_ids[30:60])
         frac = diversity_insertion_probe(irt_k5, late, early, trials=15, seed=2)
         assert 0.0 <= frac <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_trial_loop(self, data):
+        m = data.draw(st.composite(quarter_matrix)())
+        ids = list(m.model_ids)
+        late = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids), unique=True))
+        early = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+        trials = data.draw(st.integers(1, 8))
+        seed = data.draw(st.integers(0, 1000))
+        try:
+            base, want = insertion_reference(m, late, early, trials, seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="all-zero spectrum"):
+                diversity_insertion_probe(m, late, early, trials, seed)
+            return
+        scored = []
+
+        def recording(*args):
+            scored.append(_column_resample_eds(*args))
+            return scored[-1]
+
+        with mock.patch.object(temporal, "_column_resample_eds", recording):
+            frac = diversity_insertion_probe(m, late, early, trials, seed)
+        (eds,) = scored
+        assert eds[0] == pytest.approx(base, rel=1e-9)
+        np.testing.assert_allclose(eds[1:], want, rtol=1e-9)
+        # Decisions compare two EDs; a pair closer than rounding may go either way.
+        decided = np.abs(want - base) > 1e-12 * base
+        np.testing.assert_array_equal((eds[1:] > eds[0])[decided], (want > base)[decided])
+        assert frac == (eds[1:] > eds[0]).sum() / trials
 
 
 class TestTid:
