@@ -1,9 +1,10 @@
 """Command-line orchestration of the diagnostic workflow and module ops.
 
-Every subcommand is a pure function of its input files, flags, and seed:
-primary output is JSON on stdout with stable key order, human-readable notes
-go to stderr, and reports embed content digests of their inputs. Exit codes:
-0 ok, 1 analysis rejected an input/fit, 2 input or validation error.
+Every subcommand is a pure function of its input files and flags, and only
+those that draw (ed, select, compress, synth, suite) take ``--seed``; the
+others report ``"seed": null``. Primary output is JSON on stdout with stable
+key order, notes go to stderr, and reports embed content digests of their
+inputs. Exit codes: 0 ok, 1 analysis rejected an input/fit, 2 input error.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def cmd_corr(args) -> int:
     }
     if args.csv:
         save_corr_csv(c, args.csv)
-    _emit(_envelope("corr", args.seed, {"suite": _digest(args.suite)}, result), args.out)
+    _emit(_envelope("corr", None, {"suite": _digest(args.suite)}, result), args.out)
     _note(f"{len(c.ids)}x{len(c.ids)} {c.method} correlation matrix")
     return 0
 
@@ -185,7 +186,7 @@ def cmd_ceiling(args) -> int:
             "approximate when rho is a rank correlation"
         ),
     }
-    _emit(_envelope("ceiling", args.seed, {}, result), args.out)
+    _emit(_envelope("ceiling", None, {}, result), args.out)
     _note(f"ceiling({args.rho}) = {value:.4f}")
     return 0
 
@@ -236,7 +237,7 @@ def cmd_saturate(args) -> int:
         "boundary": fit.boundary,
         "points": int(n.size),
     }
-    _emit(_envelope("saturate", args.seed, {"points": _digest(args.points)}, result), args.out)
+    _emit(_envelope("saturate", None, {"points": _digest(args.points)}, result), args.out)
     _note(f"ED_inf {fit.ed_inf:.2f}, half-saturation at n {fit.n_half:.1f}")
     return 0
 
@@ -248,7 +249,7 @@ def cmd_trend(args) -> int:
     mk = mann_kendall(ed)
     tid = temporal_information_density(EdSeries(x=tuple(x), ed=tuple(ed)))
     result = {"tau": mk.tau, "p": mk.p, "s": mk.s, "tid_slope": tid, "points": int(x.size)}
-    _emit(_envelope("trend", args.seed, {"series": _digest(args.series)}, result), args.out)
+    _emit(_envelope("trend", None, {"series": _digest(args.series)}, result), args.out)
     _note(f"Mann-Kendall tau {mk.tau:.3f} (p {mk.p:.3g}), TID slope {tid:.5f}")
     return 0
 
@@ -425,7 +426,7 @@ def cmd_workflow(args) -> int:
         "step3_trend": step3,
         "step4_vet": step4,
     }
-    _emit(_envelope("workflow", args.seed, inputs, result), args.out)
+    _emit(_envelope("workflow", None, inputs, result), args.out)
     for name, step in (
         ("1 redundancy", step1),
         ("2 suite ED", step2),
@@ -452,8 +453,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="also write the JSON report to this file")
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=0)
+        common(p)
 
     def matrix_args(p):
         p.add_argument("--matrix", required=True, help="score matrix file")
@@ -469,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     matrix_args(p)
     p.add_argument("--centering", choices=CENTERING_SCHEMES, default="task")
     p.add_argument("--bootstrap-iters", type=int, default=1000)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("corr", help="pairwise benchmark correlations")
@@ -506,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     matrix_args(p)
     p.add_argument("--method", choices=SELECTION_METHODS, default="ed_greedy")
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("compress", help="random-subset compression curve")
@@ -514,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-target", type=float, default=0.95)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--csv", help="write fraction,mean_tau plot data here")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("saturate", help="fit the hyperbolic saturation model")
@@ -535,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--difficulty-spread", type=float, default=1.0)
     p.add_argument("--orientation", choices=LOADING_ORIENTATIONS, default="sphere")
     p.add_argument("--out-matrix", required=True, help="CSV path for the matrix")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("suite", help="suite-level ED, density, leave-one-out")
@@ -544,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=int, default=0, help="Dirichlet fragility samples (0 = skip)"
     )
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_suite)
 
     return parser

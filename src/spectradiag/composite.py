@@ -22,7 +22,7 @@ import numpy as np
 
 from .association import _KENDALL_CHUNK_CELLS, _kendall_tau_b
 from .matrix_io import MatrixValidationError, _read_csv_grid
-from .spectral import ed_of_matrix
+from .spectral import center, ed_of_matrix
 
 __all__ = [
     "CeilingProbe",
@@ -139,14 +139,14 @@ def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
 
 
 def _zscore_columns(table: np.ndarray, benchmark_ids) -> np.ndarray:
-    # a C-order column copy z-scores bit-identically to the reduced suite
-    table = np.ascontiguousarray(table)
-    mean = table.mean(axis=0)
-    std = table.std(axis=0)
-    for j, s in enumerate(std):
-        if s == 0.0:
-            raise ValueError(f"benchmark {benchmark_ids[j]!r} has zero variance")
-    return (table - mean) / std
+    # a C-order column copy z-scores bit-identically to the reduced suite; a
+    # constant benchmark centers to exact zeros, so its std is exactly 0
+    z = center(np.ascontiguousarray(table), "model")
+    std = np.sqrt((z * z).sum(axis=0) / z.shape[0])
+    if not std.all():
+        raise ValueError(f"benchmark {benchmark_ids[int(np.argmin(std))]!r} has zero variance")
+    z /= std
+    return z
 
 
 def suite_ed(s: SuiteScores) -> float:
@@ -166,24 +166,28 @@ def composite_scores(s: SuiteScores, weights) -> np.ndarray:
     return z @ w
 
 
-def _by_id(model_ids) -> np.ndarray:
-    """Positions of ``model_ids`` in ascending id order."""
-    return np.array(sorted(range(len(model_ids)), key=model_ids.__getitem__), dtype=np.intp)
+def _by_id(ids) -> np.ndarray:
+    """Positions of ``ids`` in ascending id order."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+
+def _best_first(scores: np.ndarray, ids) -> np.ndarray:
+    """Positions by descending score along the last axis, exact ties by ascending id."""
+    by_id = _by_id(ids)
+    return by_id[np.argsort(-scores[..., by_id], axis=-1, kind="stable")]
 
 
 def _rank_positions(scores: np.ndarray, model_ids) -> np.ndarray:
     """Rank of each model (0 = best) per row of ``scores``; ties to smallest id."""
-    by_id = _by_id(model_ids)
-    order = by_id[np.argsort(-scores[..., by_id], axis=-1, kind="stable")]
+    order = _best_first(scores, model_ids)
     pos = np.empty_like(order)
-    np.put_along_axis(pos, order, np.arange(len(by_id)), axis=-1)
+    np.put_along_axis(pos, order, np.arange(order.shape[-1]), axis=-1)
     return pos
 
 
 def composite_ranking(s: SuiteScores, weights) -> list[str]:
     """Model ids best-first under the weighted composite; ties break by id."""
-    pos = _rank_positions(composite_scores(s, weights), s.model_ids)
-    return [s.model_ids[i] for i in np.argsort(pos)]
+    return [s.model_ids[i] for i in _best_first(composite_scores(s, weights), s.model_ids)]
 
 
 def kendall_tau(rank_a, rank_b) -> float:

@@ -20,15 +20,12 @@ import numpy as np
 
 from .matrix_io import ScoreMatrix
 from .spectral import (
-    Spectrum,
     _column_resample_eds,
     _gram,
+    _gram_ed,
     center,
     ed_of_matrix,
-    effective_dimensionality,
-    pc1_fraction,
     principal_components,
-    singular_spectrum,
 )
 
 __all__ = [
@@ -278,7 +275,7 @@ def pc_metadata_auc(scores, labels) -> float:
 
 
 def _model_correlation_eigenvalues(values: np.ndarray) -> np.ndarray:
-    if np.any(values.std(axis=0) == 0.0):
+    if np.any(values.max(axis=0) == values.min(axis=0)):
         raise ValueError("degenerate correlation matrix: constant model column")
     corr = np.corrcoef(values, rowvar=False)
     return np.sort(np.linalg.eigvalsh(corr))[::-1]
@@ -353,10 +350,11 @@ def build_ed_report(
     """Full ED report: point estimate, PC1%, analytic null, ratio, CI.
 
     The bootstrap is skipped (degenerate interval) when fewer than five model
-    columns are available or iterations is zero.
+    columns are available or iterations is zero. ED and PC1% come from one
+    Gram matrix of the centered grid, so ``ed`` is :func:`ed_of_matrix`'s.
     """
-    spectrum: Spectrum = singular_spectrum(center(m.dense_values(), scheme))
-    ed = effective_dimensionality(spectrum)
+    gram = _gram(center(m.dense_values(), scheme))
+    ed = float(_gram_ed(gram))
     null = mp_null_ed(m.n_tasks, m.n_models)
     if bootstrap_iterations > 0 and m.n_models >= 5:
         low, high = bootstrap_ed_ci(
@@ -367,7 +365,7 @@ def build_ed_report(
         low = high = ed
     return EdReport(
         ed=ed,
-        pc1_pct=pc1_fraction(spectrum),
+        pc1_pct=float(np.linalg.eigvalsh(gram)[-1] / gram.trace()),
         ed_null=null,
         ratio=ed / null,
         ci_low=low,

@@ -8,7 +8,7 @@ recomputation. A step costs the O(T * N) Gram column plus an O(T) pick:
 one candidate-ED pass over all tasks, with the tie-break applied to the
 exact maxima only, so k steps cost O(k * T * N). The discrimination
 baselines take the row statistics in whole-array passes, O(T * N), and every
-ranking by (score desc, task id asc) is one ``np.lexsort``. The k-medoids
+ranking by (score desc, id asc) is ``composite._best_first``. The k-medoids
 baseline scores PAM swaps with incremental FastPAM1 deltas over blocks of
 unit task rows, so it forms no T x T distance matrix either.
 """
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import _kendall_tau_b
+from .composite import _best_first
 from .matrix_io import ScoreMatrix
 from .spectral import center
 
@@ -120,17 +121,6 @@ class _GramEvaluator:
         return ed
 
 
-def _task_variances(values: np.ndarray) -> np.ndarray:
-    return values.var(axis=1)
-
-
-def _best_first(scores: np.ndarray, task_ids) -> np.ndarray:
-    """Positions by descending score, exact ties by ascending task id."""
-    id_rank = np.empty(len(task_ids), dtype=np.intp)
-    id_rank[sorted(range(len(task_ids)), key=task_ids.__getitem__)] = np.arange(len(task_ids))
-    return np.lexsort((id_rank, -scores))
-
-
 def _selection_result(
     m: ScoreMatrix,
     order: list[int],
@@ -154,12 +144,11 @@ def _greedy_order(
 ) -> tuple[list[int], list[float]]:
     """The k greedy picks, added to ``ev``, and the ED after each pick."""
     n_tasks = values.shape[0]
-    variances = _task_variances(values)
-    if np.all(variances == 0.0):
+    if not ev.diag.any():
         raise ValueError("all tasks are degenerate (zero variance)")
     # tie priority: position in the (variance desc, id asc) order
     priority = np.empty(n_tasks, dtype=np.intp)
-    priority[_best_first(variances, task_ids)] = np.arange(n_tasks)
+    priority[_best_first(values.var(axis=1), task_ids)] = np.arange(n_tasks)
     taken = np.zeros(n_tasks, dtype=bool)
     order: list[int] = []
     trajectory: list[float] = []
@@ -189,20 +178,21 @@ def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
 def _discrimination(values: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Point-biserial correlation of tasks ``rows`` with the model total score.
 
-    Row means, stds and centering are whole-array passes, O(T * N). The
-    products with the centered totals stay one ``np.dot`` per row: one
-    matrix-vector product can round identical rows differently, which would
-    break the task-id tie-break.
+    Rows go through :func:`center`, so constant tasks (like constant totals)
+    get exactly 0; row stats are whole-array passes, O(T * N). The products
+    with the centered totals stay one ``np.dot`` per row: one matrix-vector
+    product can round identical rows differently, which would break the
+    task-id tie-break.
     """
     totals = values.mean(axis=0)
     sub = values[rows]
     out = np.zeros(sub.shape[0])
-    t_std = totals.std()
-    if t_std == 0.0:
+    if totals.max() == totals.min():
         return out
+    t_std = totals.std()
     tc = totals - totals.mean()
-    r_std = sub.std(axis=1)
-    centered = sub - sub.mean(axis=1, keepdims=True)
+    centered = center(sub, "task")
+    r_std = np.sqrt((centered * centered).sum(axis=1) / sub.shape[1])
     live = np.flatnonzero(r_std > 0.0)
     dots = np.array([np.dot(centered[i], tc) for i in live], dtype=float)
     out[live] = dots / (values.shape[1] * r_std[live] * t_std)
@@ -215,8 +205,8 @@ _MEDOID_BLOCK = 128
 
 
 def _unit_rows(values: np.ndarray) -> np.ndarray:
-    """Task-centered rows scaled to unit norm; constant rows stay zero."""
-    z = values - values.mean(axis=1, keepdims=True)
+    """Rows of :func:`center` scaled to unit norm; constant rows stay zero."""
+    z = center(values, "task")
     norm = np.sqrt(np.einsum("ij,ij->i", z, z))
     z /= np.where(norm > 0.0, norm, 1.0)[:, None]
     return z
@@ -359,7 +349,7 @@ def baseline_select(
         rng = np.random.default_rng(seed)
         order = rng.permutation(n_tasks)[:k].tolist()
     elif method == "max_variance":
-        order = _best_first(_task_variances(values), m.task_ids)[:k].tolist()
+        order = _best_first(values.var(axis=1), m.task_ids)[:k].tolist()
     elif method == "irt_discrimination":
         order = _best_first(_discrimination(values), m.task_ids)[:k].tolist()
     elif method == "k_medoids":
@@ -544,8 +534,7 @@ def prospective_split_eval(
     if not 0.0 < design_fraction < 1.0:
         raise ValueError("design_fraction must lie in (0, 1)")
     values = m.dense_values()
-    means = values.mean(axis=0)
-    order = sorted(range(m.n_models), key=lambda j: (means[j], m.model_ids[j]))
+    order = _best_first(-values.mean(axis=0), m.model_ids).tolist()
     cut = int(round(design_fraction * m.n_models))
     design_ids = [m.model_ids[j] for j in order[:cut]]
     future_ids = [m.model_ids[j] for j in order[cut:]]

@@ -79,27 +79,29 @@ class PcDecomposition:
     variance_fraction: np.ndarray
 
 
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, ScoreMatrix):
-        return m.dense_values()
-    return np.asarray(m, dtype=float)
-
-
 def center(m, scheme: str = "task") -> np.ndarray:
-    """Remove row/column means; ``task`` subtracts each task's mean score."""
-    x = _as_array(m)
-    if not np.all(np.isfinite(x)):
+    """Remove row/column means; ``task`` subtracts each task's mean score.
+
+    The package's one constancy rule: a row whose cells are all equal (max ==
+    min) centers to exactly 0.0 under ``task`` and ``double`` (before the
+    column step), as does such a column under ``model``; the inexact mean of,
+    say, 0.1 would leave rounding residue. The same max and min reject NaN
+    and inf, at one max and one min per row (column) beyond the subtraction.
+    """
+    if scheme not in CENTERING_SCHEMES:
+        raise ValueError(f"unknown centering scheme: {scheme!r} (use one of {CENTERING_SCHEMES})")
+    x = m.dense_values() if isinstance(m, ScoreMatrix) else np.asarray(m, dtype=float)
+    axis = 0 if scheme == "model" else 1
+    hi, lo = x.max(axis=axis), x.min(axis=axis)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("centering requires a complete matrix (no missing cells)")
     if scheme == "none":
         return x.copy()
-    if scheme == "task":
-        return x - x.mean(axis=1, keepdims=True)
-    if scheme == "model":
-        return x - x.mean(axis=0, keepdims=True)
+    out = x - x.mean(axis=axis, keepdims=True)
+    (out.T if axis == 0 else out)[hi == lo] = 0.0
     if scheme == "double":
-        rowed = x - x.mean(axis=1, keepdims=True)
-        return rowed - rowed.mean(axis=0, keepdims=True)
-    raise ValueError(f"unknown centering scheme: {scheme!r} (use one of {CENTERING_SCHEMES})")
+        out -= out.mean(axis=0, keepdims=True)
+    return out
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -132,9 +134,9 @@ def _column_resample_eds(x: np.ndarray, subsets, scheme: str) -> np.ndarray:
 
     A degenerate subset, one with no spectrum, gets NaN and no
     :func:`ed_of_matrix` call. It is degenerate exactly when all its
-    :func:`_column_labels` are equal. The rule is exact where centering is
-    not: three equal continuous columns task-center to rounding noise, not
-    to zero.
+    :func:`_column_labels` are equal. The labels decide, not the factor:
+    three equal continuous columns task-center to exactly zero, but their
+    copies in R differ by rounding.
 
     Every other ED is :func:`ed_of_matrix` of the ``idx`` columns of the
     min(T, N) x N factor R of a QR decomposition of the full grid Xc centered

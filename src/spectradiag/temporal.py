@@ -25,7 +25,7 @@ import numpy as np
 
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _write_csv_grid
-from .spectral import _column_resample_eds, _gram_ed, ed_of_matrix
+from .spectral import _column_resample_eds, _gram_ed, center, ed_of_matrix
 
 __all__ = [
     "CohortComparison",
@@ -66,15 +66,13 @@ def _window_ed(table: np.ndarray, standardize: bool) -> float:
     """Suite ED of a benchmarks x models block.
 
     With ``standardize`` each benchmark row is z-scored within the block.
-    A row whose values are all equal contributes nothing either way: it is
-    set to zero rather than left with its rounded centering residue.
+    A row whose values are all equal contributes nothing either way:
+    :func:`center` sets it to exactly zero.
     """
-    x = table - table.mean(axis=1, keepdims=True)
-    x[table.max(axis=1) == table.min(axis=1)] = 0.0
+    x = center(table, "task")
     if standardize:
         std = table.std(axis=1, keepdims=True)
-        scale = np.where(std > 0.0, std, 1.0)
-        x = x / scale
+        x /= np.where(std > 0.0, std, 1.0)
     return ed_of_matrix(x, scheme="none")
 
 
@@ -266,6 +264,8 @@ def ed_vs_model_count(
 ) -> list[tuple[int, float, float]]:
     """Mean/sd ED over random model subsets of each size, all drawn first and
     then scored in one :func:`_subset_eds` call."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     subsets = []
     ends = []
     for ci, count in enumerate(counts):
@@ -320,7 +320,7 @@ def _cohort_eds(block: np.ndarray, positions: np.ndarray) -> np.ndarray:
     means are C Xc^T / S and its second moments C P / S, so every resample's
     covariance comes from one product. A benchmark whose sampled values are
     all equal (decided exactly, from its max and min over the draws) gets a
-    zero row, as in :func:`_window_ed`; the others are scaled to unit
+    zero row, as :func:`center` gives it in :func:`_window_ed`; the others are scaled to unit
     variance, and ED is tr(G)^2 / ||G||_F^2 of each k x k result.
     """
     k, n = block.shape
@@ -396,6 +396,8 @@ def diversity_insertion_probe(
 ) -> float:
     """Fraction of trials where inserting one random early model into the late
     cohort increases ED."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     late = [m.model_index(i) for i in late_ids]
     early = [m.model_index(i) for i in early_ids]
     if not late or not early:

@@ -152,6 +152,35 @@ class TestCeiling:
         assert code == 2
         assert "input error" in err
 
+    def test_draws_nothing_so_reports_no_seed(self, capsys):
+        code, out, _ = run(capsys, "ceiling", "--rho", "0.5")
+        assert code == 0
+        assert json.loads(out)["seed"] is None
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("corr", "--suite", DATA / "toy_suite.csv"),
+            ("ceiling", "--rho", "0.5"),
+            ("workflow", "--suite", DATA / "toy_suite.csv"),
+            ("saturate", "--points", DATA / "toy_suite.csv"),
+            ("trend", "--series", DATA / "toy_suite.csv"),
+        ],
+    )
+    def test_rejected_where_nothing_is_drawn(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "--seed", "1")
+        assert exc.value.code == 2
+
+    def test_ed_seed_reruns_byte_identically(self, capsys, toy_matrix):
+        argv = ("ed", "--matrix", toy_matrix, "--seed", "7", "--bootstrap-iters", "30")
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 == out2
+        assert json.loads(out1)["seed"] == 7
+
     def test_bad_synth_dimensions_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -439,6 +439,24 @@ class TestSuiteEd:
         s = make_suite(rng.standard_normal((500, 4)))
         assert suite_ed(s) > 3.0
 
+    @pytest.mark.parametrize("level", [0.1, 0.3])
+    def test_constant_benchmark_rejected(self, level):
+        # the column mean of 3000 copies of 0.1 is not exactly 0.1
+        rng = np.random.default_rng(12)
+        table = rng.random((3000, 4))
+        table[:, 2] = level
+        s = make_suite(table, bench_ids=["a", "b", "c", "d"])
+        with pytest.raises(ValueError, match="benchmark 'c' has zero variance"):
+            suite_ed(s)
+
+    def test_first_constant_benchmark_named(self):
+        table = np.random.default_rng(13).random((50, 4))
+        table[:, 3] = 0.7
+        table[:, 1] = 0.1
+        s = make_suite(table, bench_ids=["a", "b", "c", "d"])
+        with pytest.raises(ValueError, match="benchmark 'b' has zero variance"):
+            suite_ed(s)
+
 
 class TestSubsets:
     def test_subsets_follow_requested_order(self, random_suite):

@@ -22,7 +22,13 @@ from spectradiag import (
     split_half_reliability,
 )
 from spectradiag.nulls import _leading_run, _parallel_analysis_null
-from spectradiag.spectral import center, principal_components
+from spectradiag.spectral import (
+    CENTERING_SCHEMES,
+    center,
+    pc1_fraction,
+    principal_components,
+    singular_spectrum,
+)
 
 
 def binary_from(arr):
@@ -195,6 +201,12 @@ class TestMatchedDimension:
         a = matched_dimension_ed(noise_matrix, 60, 20, trials=5, seed=3)
         assert a == matched_dimension_ed(noise_matrix, 60, 20, trials=5, seed=3)
 
+    def test_equal_continuous_columns_rejected(self):
+        col = np.random.default_rng(3).random(20)
+        m = binary_from(np.column_stack([col] * 3))
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            matched_dimension_ed(m, 20, 3)
+
 
 def split_half_reference(m, k, splits=50, seed=0):
     """Split-half reliability with one loading correlation per (i, j) pair."""
@@ -321,6 +333,13 @@ class TestAuc:
 
 
 class TestAlternativeEstimators:
+    def test_constant_model_column_rejected(self):
+        rng = np.random.default_rng(4)
+        vals = rng.random((50, 6))
+        vals[:, 2] = 0.1
+        with pytest.raises(ValueError, match="constant model column"):
+            alternative_estimators(binary_from(vals), seed=0)
+
     def test_rank_one_data(self):
         ability = np.linspace(0.1, 0.9, 25)
         vals = np.clip(np.outer(np.linspace(0.5, 1.5, 40), ability), 0, 1)
@@ -409,6 +428,18 @@ class TestEdReport:
         assert rep.ratio == rep.ed / rep.ed_null
         assert rep.ci_low <= rep.ed <= rep.ci_high
         assert rep.n_tasks == sub.n_tasks
+
+    @pytest.mark.parametrize("scheme", CENTERING_SCHEMES)
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_ed_is_the_kernel_value(self, irt_k5, scheme, binary):
+        m = irt_k5.subset_models(irt_k5.model_ids[:30])
+        if not binary:
+            rng = np.random.default_rng(5)
+            m = binary_from((m.dense_values() + rng.random((m.n_tasks, m.n_models))) / 2.0)
+        rep = build_ed_report(m, seed=0, bootstrap_iterations=0, scheme=scheme)
+        assert rep.ed == ed_of_matrix(m.dense_values(), scheme)
+        want = pc1_fraction(singular_spectrum(center(m.dense_values(), scheme)))
+        assert math.isclose(rep.pc1_pct, want, rel_tol=1e-12)
 
     def test_small_population_degenerate_ci(self, tiny_binary):
         rep = build_ed_report(tiny_binary, seed=0)

@@ -19,9 +19,12 @@ from spectradiag import (
 )
 from spectradiag.selection import (
     COMPRESSION_FRACTIONS,
+    _best_first,
     _discrimination,
+    _distance_rows,
     _GramEvaluator,
     _k_medoids,
+    _unit_rows,
 )
 
 
@@ -219,6 +222,18 @@ def tied_grids(draw):
     return m, draw(st.integers(1, t))
 
 
+def best_first_lexsort_reference(scores, ids):
+    """Descending score, ties by ascending id, as one ``np.lexsort``."""
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return np.lexsort((id_rank, -scores))
+
+
+def ascending_key_reference(means, ids):
+    """Ascending mean, ties by ascending id, by a Python sort key."""
+    return sorted(range(len(ids)), key=lambda j: (means[j], ids[j]))
+
+
 def binary(arr, prefix="t"):
     t, n = np.asarray(arr).shape
     return score_matrix(
@@ -300,6 +315,12 @@ class TestEdGreedy:
     def test_all_degenerate_rejected(self):
         m = binary(np.ones((4, 5)))
         with pytest.raises(ValueError, match="degenerate"):
+            ed_greedy(m, 2)
+
+    def test_constant_continuous_rows_rejected(self):
+        # row means of 0.1, 0.3 and 0.7 are inexact; centering still zeroes them
+        m = binary(np.repeat([[0.1], [0.3], [0.7]], 7, axis=1))
+        with pytest.raises(ValueError, match="all tasks are degenerate"):
             ed_greedy(m, 2)
 
     def test_deterministic(self, pool):
@@ -462,6 +483,35 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baseline_select(pool, 3, "quantum")
 
+    def test_constant_rows_have_zero_discrimination(self):
+        # t000 rises with the totals, t003 falls; t001 and t002 are constant
+        # over 15 models the means of 0.7 and 0.1 are inexact
+        rise = np.linspace(0.0, 1.0, 15)
+        values = np.vstack([rise, np.full(15, 0.7), np.full(15, 0.1), 0.5 * (1.0 - rise)])
+        disc = _discrimination(values)
+        assert disc[1] == 0.0 and disc[2] == 0.0
+        res = baseline_select(binary(values), 3, "irt_discrimination")
+        assert res.selected == ("t000", "t001", "t002")
+
+    def test_constant_totals_give_zero_discrimination(self):
+        # every model total is exactly 0.7, but their mean and std are not
+        d = np.array([0.0625, 0.125, 0.25])
+        values = np.vstack([0.7 - d, 0.7 + d])
+        totals = values.mean(axis=0)
+        assert totals.max() == totals.min() and totals.std() > 0.0
+        assert not _discrimination(values).any()
+
+    def test_constant_tasks_sit_at_distance_one(self):
+        rng = np.random.default_rng(2)
+        values = rng.random((4, 11))
+        values[1] = 0.1
+        values[3] = 0.7
+        z = _unit_rows(values)
+        assert not z[[1, 3]].any()
+        work = np.empty((3, 4, 4))
+        d = _distance_rows(z, np.array([1, 3]), work)
+        np.testing.assert_array_equal(d, [[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+
 
 class TestRankingFidelity:
     def test_full_set_is_one(self, pool):
@@ -609,6 +659,23 @@ class TestSubmodularity:
         a = submodularity_probe(pool, samples=60, seed=5)
         b = submodularity_probe(pool, samples=60, seed=5)
         assert a == b
+
+
+class TestBestFirst:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30))
+    def test_matches_lexsort_and_sort_key(self, seed, rows, n):
+        # few integer levels give many exact ties; unpadded shuffled ids make
+        # string order differ from position order
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-3, 4, (rows, n)).astype(float)
+        ids = [f"m{i}" for i in rng.permutation(n)]
+        stacked = _best_first(scores, ids)
+        for r in range(rows):
+            order = _best_first(scores[r], ids)
+            np.testing.assert_array_equal(order, best_first_lexsort_reference(scores[r], ids))
+            np.testing.assert_array_equal(stacked[r], order)
+            assert _best_first(-scores[r], ids).tolist() == ascending_key_reference(scores[r], ids)
 
 
 class TestProspective:

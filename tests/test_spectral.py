@@ -55,6 +55,47 @@ class TestCenter:
         with pytest.raises(ValueError, match="complete"):
             center(x)
 
+    @pytest.mark.parametrize("scheme", CENTERING_SCHEMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_under_every_scheme(self, scheme, bad):
+        x = np.arange(12.0).reshape(3, 4)
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="complete"):
+            center(x, scheme)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from(["task", "model", "double"]),
+        st.data(),
+    )
+    def test_constant_lines_center_to_exact_zero(self, seed, t, n, scheme, data):
+        """Rows (columns under ``model``) overwritten by a constant become
+        exactly 0.0; every other cell is bitwise the plain subtraction, with
+        the column step of ``double`` applied after the row step."""
+        rng = np.random.default_rng(seed)
+        x = rng.random((t, n))
+        axis = 0 if scheme == "model" else 1
+        lines = np.flatnonzero(rng.random(x.shape[1 - axis]) < 0.5)
+        constants = st.one_of(
+            st.sampled_from([0.1, 0.7, 1 / 3]), st.floats(-1e6, 1e6, allow_nan=False)
+        )
+        lined = x if axis == 1 else x.T
+        for i in lines:
+            lined[i] = data.draw(constants)
+        expect = x - x.mean(axis=axis, keepdims=True)
+        (expect if axis == 1 else expect.T)[lines] = 0.0
+        out = center(x, scheme)
+        if scheme == "double":
+            rowed = center(x, "task")
+            assert not rowed[lines].any()
+            expect -= expect.mean(axis=0, keepdims=True)
+        else:
+            assert not (out if axis == 1 else out.T)[lines].any()
+        assert out.tobytes() == expect.tobytes()
+
 
 class TestSpectrum:
     def test_diagonal(self):
@@ -233,6 +274,12 @@ class TestEdOfMatrix:
     def test_identical_rows_give_one(self):
         x = np.tile([0.0, 1.0, 0.5, 0.2], (6, 1))
         assert math.isclose(ed_of_matrix(x), 1.0, rel_tol=1e-12)
+
+    def test_equal_continuous_columns_have_no_spectrum(self):
+        # every task row is constant, so task-centering leaves exactly zero
+        col = np.random.default_rng(3).random(20)
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            ed_of_matrix(np.column_stack([col] * 3))
 
 
 

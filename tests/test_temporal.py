@@ -310,6 +310,11 @@ class TestEdVsModelCount:
         a = ed_vs_model_count(noise_matrix, [10, 20], trials=5, seed=2)
         assert a == ed_vs_model_count(noise_matrix, [10, 20], trials=5, seed=2)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, noise_matrix, trials):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            ed_vs_model_count(noise_matrix, [10, 20], trials=trials)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_per_subset_loop(self, data):
@@ -465,6 +470,13 @@ class TestCohortCompare:
 
 
 class TestInsertionProbe:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, noise_matrix, trials):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            diversity_insertion_probe(
+                noise_matrix, noise_matrix.model_ids[:5], noise_matrix.model_ids[5:], trials=trials
+            )
+
     def test_identical_model_never_increases(self):
         rng = np.random.default_rng(12)
         base = (rng.random((40, 6)) < 0.5).astype(float)
