@@ -157,6 +157,14 @@ class TestCeiling:
         assert code == 0
         assert json.loads(out)["seed"] is None
 
+    def test_bad_synth_dimensions_exit_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "synth", "--k", "50", "--tasks", "10", "--models", "10",
+            "--out-matrix", tmp_path / "x.csv",
+        )
+        assert code == 2
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize(
@@ -180,14 +188,6 @@ class TestSeedFlag:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
         assert json.loads(out1)["seed"] == 7
-
-    def test_bad_synth_dimensions_exit_2(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
-            "synth", "--k", "50", "--tasks", "10", "--models", "10",
-            "--out-matrix", tmp_path / "x.csv",
-        )
-        assert code == 2
 
 
 class TestSelect:

@@ -173,16 +173,17 @@ def ed_greedy_reference(m, k):
 
 
 def discrimination_reference(values):
-    """Per-row loop: point-biserial correlation of each row with the totals."""
+    """Per-row loop: point-biserial correlation of each row with the totals.
+    Constant totals or a constant row (max == min) give exactly 0."""
     totals = values.mean(axis=0)
     out = np.zeros(values.shape[0])
-    t_std = totals.std()
-    if t_std == 0.0:
+    if totals.max() == totals.min():
         return out
+    t_std = totals.std()
     tc = totals - totals.mean()
     for i, row in enumerate(values):
         r_std = row.std()
-        if r_std > 0.0:
+        if row.max() > row.min():
             out[i] = float(np.dot(row - row.mean(), tc) / (values.shape[1] * r_std * t_std))
     return out
 
