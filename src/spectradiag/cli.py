@@ -155,7 +155,7 @@ def cmd_ed(args) -> int:
 def cmd_corr(args) -> int:
     s = load_suite(args.suite)
     c = pairwise_correlation(s.benchmark_table(), ids=s.benchmark_ids, method=args.method)
-    flags = redundancy_flags(c, hi=args.redundant, vet=args.vet, comp=args.complementary)
+    flags = redundancy_flags(c, hi=args.redundant, comp=args.complementary)
     result = {
         "ids": list(c.ids),
         "method": c.method,
@@ -482,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("pearson", "spearman", "kendall"), default="spearman"
     )
     p.add_argument("--redundant", type=float, default=0.9)
-    p.add_argument("--vet", type=float, default=0.7)
     p.add_argument("--complementary", type=float, default=-0.3)
     p.add_argument("--csv", help="write the square correlation CSV here")
     common(p)

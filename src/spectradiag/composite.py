@@ -8,9 +8,10 @@ search, and information density.
 Rankings and champions are taken in model-id order, so exact score ties go
 to the smallest id. The Dirichlet fragility test scores its R samples over N
 models and k benchmarks in chunks of at most ``FRAGILITY_CHUNK`` samples, one
-product and one argmax per chunk; the first chunk's P champions prune the
-rows they dominate, so later chunks score F contenders: O(1024 * N * k +
-P * N * k + R * F * k) time and an O(1024 * N) score block.
+product and one argmax per row sub-block of a chunk; the first chunk's P
+champions prune the rows they dominate, so later chunks score F contenders:
+O(1024 * N * k + P * N * k + R * F * k) time and a score block of at most
+``_KENDALL_CHUNK_CELLS`` cells (one row when N alone exceeds it).
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _zscore_columns(table: np.ndarray, benchmark_ids) -> np.ndarray:
 def suite_ed(s: SuiteScores) -> float:
     """ED of the standardized benchmarks x models table."""
     z = _zscore_columns(s.table, s.benchmark_ids)
-    return ed_of_matrix(z.T, scheme="task")
+    return ed_of_matrix(np.ascontiguousarray(z.T), scheme="task")
 
 
 def composite_scores(s: SuiteScores, weights) -> np.ndarray:
@@ -255,8 +256,8 @@ def _contenders(zt: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     under nonnegative weights in exact arithmetic (skyline dominance,
     Borzsonyi, Kossmann & Stocker, ICDE 2001). Per benchmark j the key
     dense_rank_j(r) * F + (F - 1 - r) breaks score ties toward the smaller
-    id, so the test is key_j(p) > key_j(r) for all j: O(P * F * k) time,
-    P x F masks smaller than a score block since P <= ``FRAGILITY_CHUNK``.
+    id, so the test is key_j(p) > key_j(r) for all j: O(P * F * k) time
+    and two P x F bool masks, at most ``FRAGILITY_CHUNK`` * F bytes each.
     """
     k, f = zt.shape
     order = np.argsort(zt, axis=1)
@@ -286,7 +287,8 @@ def dirichlet_fragility(
     so models with equal rows tie exactly. Samples are scored
     ``FRAGILITY_CHUNK`` at a time against those rows in id order, so the
     first argmax is the champion; later chunks score the first chunk's
-    ``_contenders`` only. At most a ``FRAGILITY_CHUNK`` x N score block.
+    ``_contenders`` only. Each chunk is scored in row sub-blocks of at most
+    ``_KENDALL_CHUNK_CELLS`` cells (at least one row).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -306,8 +308,11 @@ def dirichlet_fragility(
     cols = np.arange(len(reps))
     champions = np.empty(samples, dtype=np.intp)
     for start in range(0, samples, FRAGILITY_CHUNK):
-        chunk = weights[start : start + FRAGILITY_CHUNK]
-        champions[start : start + len(chunk)] = cols[np.argmax(chunk @ zt, axis=1)]
+        stop = min(start + FRAGILITY_CHUNK, samples)
+        rows = max(1, _KENDALL_CHUNK_CELLS // len(cols))
+        for sub in range(start, stop, rows):
+            end = min(sub + rows, stop)
+            champions[sub:end] = cols[np.argmax(weights[sub:end] @ zt, axis=1)]
         if start == 0 and samples > FRAGILITY_CHUNK:
             cols = _contenders(zt, np.unique(champions[:FRAGILITY_CHUNK]))
             zt = np.ascontiguousarray(zt[:, cols])
@@ -335,14 +340,14 @@ def leave_one_out(s: SuiteScores) -> dict[str, LeaveOneOut]:
     if k < 2:
         raise ValueError("leave-one-out needs at least two benchmarks")
     z = _zscore_columns(s.table, s.benchmark_ids)
-    full_ed = ed_of_matrix(z.T, scheme="task")
+    full_ed = ed_of_matrix(np.ascontiguousarray(z.T), scheme="task")
     scores = np.empty((k + 1, s.n_models))
     scores[k] = z @ np.ones(k)
     deltas = []
     for j in range(k):
         keep = [i for i in range(k) if i != j]
         zr = _zscore_columns(s.table[:, keep], [s.benchmark_ids[i] for i in keep])
-        deltas.append(full_ed - ed_of_matrix(zr.T, scheme="task"))
+        deltas.append(full_ed - ed_of_matrix(np.ascontiguousarray(zr.T), scheme="task"))
         scores[j] = zr @ np.ones(k - 1)
     pos = _rank_positions(scores, s.model_ids)
     taus = _kendall_tau_b(pos[:k], pos[k])

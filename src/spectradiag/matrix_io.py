@@ -244,7 +244,7 @@ def load_matrix(path, format: str = "csv") -> ScoreMatrix:
         _, task_ids, model_ids, values, missing, _ = _read_csv_grid(path, "task", "model")
         if len(model_ids) < 2:
             raise MatrixValidationError(f"{path}:1: header needs at least two model columns")
-        return score_matrix(task_ids, model_ids, values, missing)
+        return ScoreMatrix._owning(tuple(task_ids), tuple(model_ids), values, missing)
     if format == "json":
         return _load_json(path)
     raise MatrixValidationError(f"unknown matrix format: {format!r}")
@@ -269,10 +269,13 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
             raise MatrixValidationError(f"{path}:1: header needs at least one {col_kind} column")
         col_ids = header[1:]
         _check_unique(path, col_ids, [1] * len(col_ids), col_kind)
-        # Each row becomes a float64 array once parsed, so no per-cell Python
-        # float outlives its row; holes keeps the empty-cell columns of the
-        # rows that have any.
-        row_ids, linenos, rows, holes = [], [], [], []
+        # Each parsed row goes straight into one grid and mask, grown by
+        # doubling and trimmed at the end. ndarray.resize reallocates their
+        # buffers, which no view shares (hence refcheck=False), so no
+        # per-cell Python float outlives its row and no second grid is made.
+        values = np.empty((1, len(col_ids)))
+        missing = np.zeros((1, len(col_ids)), dtype=bool)
+        row_ids, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not any(c.strip() for c in row):
                 continue
@@ -293,18 +296,19 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
                         ) from None
                     gaps.append(col)
                     vals.append(np.nan)
-            if gaps:
-                holes.append((len(rows), gaps))
+            r = len(row_ids)
+            if r == len(values):
+                values.resize((2 * r, len(col_ids)), refcheck=False)
+                missing.resize((2 * r, len(col_ids)), refcheck=False)
+            values[r] = vals
+            missing[r, gaps] = True
             row_ids.append(row_id)
             linenos.append(lineno)
-            rows.append(np.array(vals))
-    if not rows:
+    if not row_ids:
         raise MatrixValidationError(f"{path}:1: no {row_kind} rows after the header")
     _check_unique(path, row_ids, linenos, row_kind)
-    values = np.array(rows)
-    missing = np.zeros(values.shape, dtype=bool)
-    for r, gaps in holes:
-        missing[r, gaps] = True
+    values.resize((len(row_ids), len(col_ids)), refcheck=False)
+    missing.resize((len(row_ids), len(col_ids)), refcheck=False)
     ok = np.isfinite(values) | missing
     if not ok.all():
         r, c = np.argwhere(~ok)[0]

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _paired_corr
-from .matrix_io import ScoreMatrix, score_matrix
+from .association import _KENDALL_CHUNK_CELLS, _paired_corr
+from .matrix_io import ScoreMatrix
 from .spectral import ed_of_matrix
 
 LOADING_ORIENTATIONS = ("sphere", "positive")
@@ -72,6 +72,13 @@ def gen_irt_matrix(spec: IrtSpec) -> ScoreMatrix:
     Abilities are standard normal in k dimensions; each task gets a loading
     of fixed magnitude ``discrimination_scale`` and a normal difficulty with
     sd ``difficulty_spread``; pass probability is logistic(a.theta - b).
+
+    The grid is built a block of task rows at a time, in the order and from
+    the stream of one whole-grid draw: each block's uniforms are drawn into
+    the grid's rows and compared there with the block's probabilities. A
+    block is a quarter of ``_KENDALL_CHUNK_CELLS`` cells, so the four or so
+    block-sized float temporaries of :func:`_logistic` stay within that
+    budget and the working set is about the grid, its mask and one block.
     """
     rng = np.random.default_rng(spec.seed)
     theta = rng.standard_normal((spec.models, spec.k))
@@ -83,14 +90,20 @@ def gen_irt_matrix(spec: IrtSpec) -> ScoreMatrix:
         loadings = np.abs(loadings)
     loadings = loadings * spec.discrimination_scale
     difficulty = rng.normal(0.0, spec.difficulty_spread, size=spec.tasks)
-    probs = _logistic(loadings @ theta.T - difficulty[:, None])
-    values = (rng.random((spec.tasks, spec.models)) < probs).astype(float)
+    values = np.empty((spec.tasks, spec.models))
+    rows = max(1, _KENDALL_CHUNK_CELLS // 4 // spec.models)
+    for start in range(0, spec.tasks, rows):
+        block = slice(start, start + rows)
+        out = values[block]
+        rng.random(out=out)
+        np.less(out, _logistic(loadings[block] @ theta.T - difficulty[block, None]), out=out)
     digits_t = max(4, len(str(spec.tasks)))
     digits_m = max(3, len(str(spec.models)))
-    return score_matrix(
-        [f"task_{i:0{digits_t}d}" for i in range(spec.tasks)],
-        [f"model_{j:0{digits_m}d}" for j in range(spec.models)],
+    return ScoreMatrix._owning(
+        tuple(f"task_{i:0{digits_t}d}" for i in range(spec.tasks)),
+        tuple(f"model_{j:0{digits_m}d}" for j in range(spec.models)),
         values,
+        np.zeros(values.shape, dtype=bool),
     )
 
 

@@ -9,11 +9,13 @@ ED against model count and the insertion probe score all their model subsets
 in one call of ``spectral._column_resample_eds``, the package's one path for
 the ED of a model-column subset.
 
-The cohort bootstrap scores all R resamples of S models over k benchmarks at
-once: each resample is a row of model multiplicities, and one product of that
-R x n count matrix with the n cohort models' values and pairwise products
-gives every resample's k x k standardized Gram, O(R * S) draws plus
-O(R * n * k^2) arithmetic instead of R copies of a k x S block.
+The cohort bootstrap scores its R resamples of S models over k benchmarks
+in blocks of B: each resample is a row of model multiplicities, and one
+product of that B x n count matrix with the n cohort models' values and
+pairwise products gives every resample's k x k standardized Gram, O(R * S)
+draws plus O(R * n * k^2) arithmetic instead of R copies of a k x S block,
+in O(B * (S + n)) memory with B * (S + n + k^2) within the package's
+``_KENDALL_CHUNK_CELLS`` cell budget.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .association import _KENDALL_CHUNK_CELLS
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _write_csv_grid
 from .spectral import _column_resample_eds, _gram_ed, center, ed_of_matrix
@@ -356,23 +359,32 @@ def cohort_bootstrap_compare(
     ``p_direction`` is the fraction of iterations with ED(b) > ED(a);
     Cohen's d is computed on the two bootstrap distributions. Iteration i
     draws cohort a's resample, then cohort b's, from ``default_rng((seed, i))``;
-    the EDs of all iterations then come from :func:`_cohort_eds`, in
-    O(R * S + R * n * k^2) time and O(R * (S + n)) memory for R iterations,
-    S = ``sample``, cohorts of n models and k benchmarks.
+    the iterations are drawn and scored by :func:`_cohort_eds` in blocks of
+    B, sized so that a block's positions and counts, B * (S + n + k^2)
+    cells, stay within ``_KENDALL_CHUNK_CELLS``. That is O(R * S + R * n * k^2)
+    time and O(B * (S + n)) memory for R iterations, S = ``sample``, cohorts
+    of n models and k benchmarks.
     """
     idx_a = s.model_positions(group_a)
     idx_b = s.model_positions(group_b)
     if len(idx_a) < 10 or len(idx_b) < 10:
         raise ValueError("each cohort needs at least ten models")
-    pos_a = np.empty((iterations, sample), dtype=np.intp)
-    pos_b = np.empty((iterations, sample), dtype=np.intp)
-    for i in range(iterations):
-        # The positions rng.choice(idx, size=sample, replace=True) would pick.
-        rng = np.random.default_rng((seed, i))
-        pos_a[i] = rng.integers(0, len(idx_a), size=sample)
-        pos_b[i] = rng.integers(0, len(idx_b), size=sample)
-    ed_a = _cohort_eds(s.table[idx_a].T, pos_a)
-    ed_b = _cohort_eds(s.table[idx_b].T, pos_b)
+    table_a, table_b = s.table[idx_a].T, s.table[idx_b].T
+    cells = sample + max(len(idx_a), len(idx_b)) + s.n_benchmarks**2
+    rows = max(1, _KENDALL_CHUNK_CELLS // cells)
+    pos_a = np.empty((min(rows, iterations), sample), dtype=np.intp)
+    pos_b = np.empty_like(pos_a)
+    ed_a = np.empty(iterations)
+    ed_b = np.empty(iterations)
+    for start in range(0, iterations, rows):
+        stop = min(start + rows, iterations)
+        for r, i in enumerate(range(start, stop)):
+            # The positions rng.choice(idx, size=sample, replace=True) would pick.
+            rng = np.random.default_rng((seed, i))
+            pos_a[r] = rng.integers(0, len(idx_a), size=sample)
+            pos_b[r] = rng.integers(0, len(idx_b), size=sample)
+        ed_a[start:stop] = _cohort_eds(table_a, pos_a[: stop - start])
+        ed_b[start:stop] = _cohort_eds(table_b, pos_b[: stop - start])
     deltas = ed_b - ed_a
     pooled = math.sqrt((ed_a.var() + ed_b.var()) / 2.0)
     d = float(deltas.mean() / pooled) if pooled > 0.0 else 0.0

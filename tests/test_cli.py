@@ -251,6 +251,13 @@ class TestCorrAndSuite:
         run(capsys, "corr", "--suite", DATA / "toy_suite.csv", "--csv", dest)
         assert dest.read_text().startswith("id,bbh_like")
 
+    def test_corr_rejects_vet(self, capsys):
+        """corr reports no vetting step; --vet belongs to workflow only."""
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "corr", "--suite", DATA / "toy_suite.csv", "--vet", "0.5")
+        assert exc.value.code == 2
+        assert "--vet" in capsys.readouterr().err
+
     def test_suite_report(self, capsys):
         code, out, _ = run(
             capsys, "suite", "--suite", DATA / "toy_suite.csv", "--samples", "200"

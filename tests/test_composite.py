@@ -21,6 +21,7 @@ from spectradiag import (
     load_suite,
     suite_ed,
 )
+from spectradiag.association import _KENDALL_CHUNK_CELLS
 from spectradiag.composite import (
     FragilityReport,
     LeaveOneOut,
@@ -313,6 +314,27 @@ class TestFragility:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_score_block_within_cell_budget(self):
+        """Each chunk is scored in row sub-blocks of at most the cell budget
+        (2 MB), so the peak is about the weights, the z-scores and one
+        sub-block; a whole 1024 x 3000 chunk alone would take 24.6 MB."""
+        s = make_suite(np.random.default_rng(6).standard_normal((3000, 12)))
+        tracemalloc.start()
+        try:
+            dirichlet_fragility(s, samples=10_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_sub_blocks_match_reference(self):
+        """400 distinct rows split the first chunk into two sub-blocks."""
+        s = make_suite(np.random.default_rng(7).standard_normal((400, 3)))
+        rows = _KENDALL_CHUNK_CELLS // 400
+        assert rows < 1024 < 2 * rows
+        got = dirichlet_fragility(s, samples=1100, seed=3)
+        assert got == dirichlet_fragility_reference(s, samples=1100, seed=3)
 
 
 def leave_one_out_reference(s):

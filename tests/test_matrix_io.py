@@ -479,6 +479,16 @@ class TestMemory:
         path = grid[3]
         assert self.peak_ratio(lambda: load_matrix(path)) < 3.5
 
+    def test_read_csv_grid_below_1_5_grids(self, grid):
+        """Rows go straight into one grid and mask grown by doubling (4096
+        rows here) and trimmed at the end: no per-row arrays, no second grid."""
+        path = grid[3]
+        assert self.peak_ratio(lambda: _read_csv_grid(path, "task", "model")) < 1.5
+
+    def test_load_matrix_keeps_the_read_grid(self, grid):
+        path = grid[3]
+        assert self.peak_ratio(lambda: load_matrix(path)) < 1.75
+
     def test_score_matrix_below_2_grids(self, grid):
         m, vals, mask, _ = grid
         assert self.peak_ratio(lambda: score_matrix(m.task_ids, m.model_ids, vals, mask)) < 2.0
@@ -498,6 +508,34 @@ class TestMemory:
             "impute_missing": lambda: impute_missing(m),
         }[derive]
         assert self.peak_ratio(fn, fn().shape) < 1.75
+
+
+class TestCsvGrowth:
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 17, 64, 65])
+    def test_rows_across_doublings(self, tmp_path, n_rows):
+        """Every row count around a doubling reads back its cells, its
+        missing mask and its line numbers, with blank lines in between."""
+        rng = np.random.default_rng(n_rows)
+        vals = rng.random((n_rows, 3))
+        mask = rng.random((n_rows, 3)) < 0.3
+        lines = ["task_id,a,b,c"]
+        for i, (row, gaps) in enumerate(zip(vals, mask)):
+            lines.append(f"t{i}," + ",".join("" if g else repr(v) for v, g in zip(row.tolist(), gaps)))
+            lines.append("")
+        path = write(tmp_path / "m.csv", "\n".join(lines) + "\n")
+        corner, row_ids, col_ids, got, missing, linenos = _read_csv_grid(path, "task", "model")
+        assert (corner, col_ids) == ("task_id", ["a", "b", "c"])
+        assert row_ids == [f"t{i}" for i in range(n_rows)]
+        assert linenos == [2 + 2 * i for i in range(n_rows)]
+        assert got.shape == missing.shape == (n_rows, 3)
+        np.testing.assert_array_equal(missing, mask)
+        np.testing.assert_array_equal(got, np.where(mask, np.nan, vals))
+
+    def test_late_error_keeps_its_line(self, tmp_path):
+        body = "".join(f"t{i},0.5,0.25\n" for i in range(40))
+        path = write(tmp_path / "m.csv", "task_id,a,b\n" + body + "t40,0.5,x\n")
+        with pytest.raises(MatrixValidationError, match=r"m\.csv:42: non-numeric cell 'x'"):
+            _read_csv_grid(path, "task", "model")
 
 
 class TestOneCopy:

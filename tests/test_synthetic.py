@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectradiag import (
     IrtSpec,
@@ -10,6 +14,40 @@ from spectradiag import (
     rank_recovery_report,
     tetrachoric_ed,
 )
+from spectradiag.association import _KENDALL_CHUNK_CELLS
+from spectradiag.synthetic import _logistic
+
+
+def whole_grid_reference(spec):
+    """The 2PL grid from whole-grid probabilities and one whole-grid draw of
+    uniforms: the generator's stream and order, with no row blocks."""
+    rng = np.random.default_rng(spec.seed)
+    theta = rng.standard_normal((spec.models, spec.k))
+    raw = rng.standard_normal((spec.tasks, spec.k))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    loadings = raw / norms
+    if spec.loading_orientation == "positive":
+        loadings = np.abs(loadings)
+    loadings = loadings * spec.discrimination_scale
+    difficulty = rng.normal(0.0, spec.difficulty_spread, size=spec.tasks)
+    probs = _logistic(loadings @ theta.T - difficulty[:, None])
+    return (rng.random((spec.tasks, spec.models)) < probs).astype(float)
+
+
+@st.composite
+def irt_specs(draw):
+    tasks = draw(st.integers(1, 700))
+    models = draw(st.integers(2, 400))
+    return IrtSpec(
+        k=draw(st.integers(1, min(20, tasks, models))),
+        tasks=tasks,
+        models=models,
+        discrimination_scale=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0])),
+        difficulty_spread=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        loading_orientation=draw(st.sampled_from(["sphere", "positive"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 class TestIrtSpec:
@@ -60,6 +98,38 @@ class TestGenIrt:
             IrtSpec(k=4, tasks=100, models=40, loading_orientation="positive", seed=3)
         )
         assert not np.array_equal(sphere.values, positive.values)
+
+
+class TestGenIrtBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(irt_specs())
+    # 163-row blocks at 400 models: four full blocks and a remainder of 48
+    @example(IrtSpec(k=20, tasks=700, models=400, seed=5))
+    @example(IrtSpec(k=1, tasks=1, models=400, loading_orientation="positive", seed=6))
+    def test_matches_whole_grid_reference(self, spec):
+        m = gen_irt_matrix(spec)
+        want = whole_grid_reference(spec)
+        assert m.values.tobytes() == want.tobytes()
+        assert not m.missing.any()
+        assert m.kind == "binary"
+        assert m.task_ids[-1] == f"task_{spec.tasks - 1:0{max(4, len(str(spec.tasks)))}d}"
+
+    def test_spec_spans_several_blocks(self):
+        rows = _KENDALL_CHUNK_CELLS // 4 // 400
+        assert 700 > 4 * rows and 700 % rows
+
+    def test_peak_below_1_5_grids(self):
+        """One grid, its mask and one row block: the whole-grid form held
+        the probabilities, the uniforms and the comparison at once."""
+        spec = IrtSpec(k=3, tasks=600, models=3000, loading_orientation="positive", seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gen_irt_matrix(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.5 * 8 * 600 * 3000
 
 
 class TestGenIid:

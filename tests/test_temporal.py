@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from spectradiag import (
     sliding_window_ed,
     temporal_information_density,
 )
+from spectradiag.association import _KENDALL_CHUNK_CELLS
 from spectradiag.spectral import _column_resample_eds
 from spectradiag.temporal import CohortComparison, _window_ed
 
@@ -455,6 +457,51 @@ class TestCohortCompare:
             np.testing.assert_array_equal(
                 np.asarray(idx_b)[pos_b[i]], rng.choice(idx_b, size=17, replace=True)
             )
+
+    def test_blocks_match_per_iteration_reference(self, monkeypatch):
+        """Three full blocks of iterations and a remainder agree with the
+        per-iteration loop; each cohort is scored once per block."""
+        rng = np.random.default_rng(15)
+        s = make_suite(rng.integers(0, 5, size=(40, 3)) / 4.0)
+        a, b = list(s.model_ids[:25]), list(s.model_ids[15:])
+        sample = 2000
+        rows = _KENDALL_CHUNK_CELLS // (sample + 25 + 3 * 3)
+        iterations = 3 * rows + rows // 2
+        calls = []
+        real = temporal._cohort_eds
+
+        def counted(block, positions):
+            calls.append(len(positions))
+            return real(block, positions)
+
+        monkeypatch.setattr(temporal, "_cohort_eds", counted)
+        got = cohort_bootstrap_compare(s, a, b, sample=sample, iterations=iterations, seed=6)
+        want, ed_a, ed_b = cohort_bootstrap_reference(s, a, b, sample, iterations, 6)
+        # cohort a, then cohort b, per block
+        assert calls == [n for n in (rows, rows, rows, rows // 2) for _ in range(2)]
+        assert got.delta == pytest.approx(want.delta, rel=1e-9, abs=1e-12)
+        assert got.ci == pytest.approx(want.ci, rel=1e-9, abs=1e-12)
+        assert got.cohens_d == pytest.approx(want.cohens_d, rel=1e-9, abs=1e-9)
+        near_ties = np.count_nonzero(np.abs(ed_b - ed_a) <= 1e-9 * np.abs(ed_a))
+        assert abs(got.p_direction - want.p_direction) * iterations <= near_ties + 1e-9
+        assert (got.iterations, got.seed) == (want.iterations, want.seed)
+
+    def test_peak_does_not_grow_with_iterations(self):
+        """Draws and counts live for one block of iterations at a time, so
+        8x the iterations adds only the per-iteration EDs (32 KB each)."""
+        rng = np.random.default_rng(16)
+        s = make_suite(rng.standard_normal((1200, 12)))
+        a, b = list(s.model_ids[:600]), list(s.model_ids[600:])
+        peaks = []
+        for iterations in (500, 4000):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cohort_bootstrap_compare(s, a, b, sample=300, iterations=iterations, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_constant_benchmark_contributes_nothing(self):
         rng = np.random.default_rng(14)
