@@ -461,11 +461,10 @@ def tetrachoric_matrix(m: ScoreMatrix) -> np.ndarray:
         raise ValueError("tetrachoric ED needs at least three models")
     values = m.dense_values()
     passes = values.sum(axis=0)
-    for j, model in enumerate(m.model_ids):
-        if passes[j] in (0.0, m.n_tasks):
-            raise ValueError(
-                f"model {model!r} has a constant outcome column (zero marginal)"
-            )
+    constant = (passes == 0.0) | (passes == m.n_tasks)
+    if constant.any():
+        model = m.model_ids[int(np.argmax(constant))]
+        raise ValueError(f"model {model!r} has a constant outcome column (zero marginal)")
     i, j = np.triu_indices(m.n_models, 1)
     n11 = (values.T @ values)[i, j]
     n10 = passes[i] - n11

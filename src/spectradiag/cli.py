@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def cmd_ed(args) -> int:
         bootstrap_iterations=args.bootstrap_iters,
         scheme=args.centering,
     )
-    result = report.to_dict()
+    result = asdict(report)
     result["kind"] = m.kind
     result["centering"] = args.centering
     result["preprocessing"] = steps
@@ -230,13 +231,7 @@ def cmd_compress(args) -> int:
 def cmd_saturate(args) -> int:
     n, ed = _read_series_csv(args.points)
     fit = saturation_fit(np.column_stack([n, ed]))
-    result = {
-        "ed_inf": fit.ed_inf,
-        "n_half": fit.n_half,
-        "rss": fit.rss,
-        "boundary": fit.boundary,
-        "points": int(n.size),
-    }
+    result = {**asdict(fit), "points": int(n.size)}
     _emit(_envelope("saturate", None, {"points": _digest(args.points)}, result), args.out)
     _note(f"ED_inf {fit.ed_inf:.2f}, half-saturation at n {fit.n_half:.1f}")
     return 0
@@ -248,7 +243,7 @@ def cmd_trend(args) -> int:
         raise MatrixValidationError("trend test needs at least four series points")
     mk = mann_kendall(ed)
     tid = temporal_information_density(EdSeries(x=tuple(x), ed=tuple(ed)))
-    result = {"tau": mk.tau, "p": mk.p, "s": mk.s, "tid_slope": tid, "points": int(x.size)}
+    result = {**asdict(mk), "tid_slope": tid, "points": int(x.size)}
     _emit(_envelope("trend", None, {"series": _digest(args.series)}, result), args.out)
     _note(f"Mann-Kendall tau {mk.tau:.3f} (p {mk.p:.3g}), TID slope {tid:.5f}")
     return 0
@@ -293,10 +288,7 @@ def cmd_suite(args) -> int:
         "models": s.n_models,
         "ed": ed,
         "information_density": information_density(ed, s.n_benchmarks),
-        "leave_one_out": {
-            b: {"delta_ed": rec.delta_ed, "tau_vs_full": rec.tau_vs_full}
-            for b, rec in loo.items()
-        },
+        "leave_one_out": {b: asdict(rec) for b, rec in loo.items()},
     }
     if args.samples > 0:
         frag = dirichlet_fragility(s, alpha=args.alpha, samples=args.samples, seed=args.seed)

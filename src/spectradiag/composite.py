@@ -10,8 +10,10 @@ to the smallest id. The Dirichlet fragility test scores its R samples over N
 models and k benchmarks in chunks of at most ``FRAGILITY_CHUNK`` samples, one
 product and one argmax per row sub-block of a chunk; the first chunk's P
 champions prune the rows they dominate, so later chunks score F contenders:
-O(1024 * N * k + P * N * k + R * F * k) time and a score block of at most
-``_KENDALL_CHUNK_CELLS`` cells (one row when N alone exceeds it).
+O(1024 * N * k + P * N * k + R * F * k) time. Each chunk draws its own
+weights, so the working set is one chunk of weights and champions plus a
+score block of at most ``_KENDALL_CHUNK_CELLS`` cells (one row when N alone
+exceeds it), whatever R is.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import _KENDALL_CHUNK_CELLS, _kendall_tau_b
-from .matrix_io import MatrixValidationError, _read_csv_grid
+from .matrix_io import MatrixValidationError, _id_positions, _read_csv_grid
 from .spectral import center, ed_of_matrix
 
 __all__ = [
@@ -69,19 +71,14 @@ class SuiteScores:
             raise ValueError("id lists must match the score table shape")
         if not np.all(np.isfinite(table)):
             raise ValueError("suite scores must be finite (preprocess missing cells)")
-        for name, ids in (("model", self.model_ids), ("benchmark", self.benchmark_ids)):
-            if len(set(ids)) != len(ids):
-                raise ValueError(f"duplicate {name} ids")
         table = table.copy()
         table.flags.writeable = False
+        # id -> position lookups for the subset methods; not dataclass fields
+        object.__setattr__(self, "_model_pos", _id_positions(self.model_ids, "model"))
+        object.__setattr__(self, "_benchmark_pos", _id_positions(self.benchmark_ids, "benchmark"))
         object.__setattr__(self, "model_ids", tuple(self.model_ids))
         object.__setattr__(self, "benchmark_ids", tuple(self.benchmark_ids))
         object.__setattr__(self, "table", table)
-        # id -> position lookups for the subset methods; not dataclass fields
-        object.__setattr__(self, "_model_pos", {m: i for i, m in enumerate(self.model_ids)})
-        object.__setattr__(
-            self, "_benchmark_pos", {b: i for i, b in enumerate(self.benchmark_ids)}
-        )
 
     @property
     def n_models(self) -> int:
@@ -292,6 +289,8 @@ def dirichlet_fragility(
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     k = s.n_benchmarks
     z = _zscore_columns(s.table, s.benchmark_ids)
     by_id = _by_id(s.model_ids)
@@ -303,23 +302,25 @@ def dirichlet_fragility(
     reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     baseline = int(np.argmax(z[reps] @ np.full(k, 1.0 / k)))
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.full(k, alpha), size=samples)
     zt = np.ascontiguousarray(z[reps].T)
     cols = np.arange(len(reps))
-    champions = np.empty(samples, dtype=np.intp)
+    changes = 0
+    won = np.zeros(len(reps), dtype=bool)
     for start in range(0, samples, FRAGILITY_CHUNK):
-        stop = min(start + FRAGILITY_CHUNK, samples)
+        # consecutive draws continue the stream of one samples x k draw
+        weights = rng.dirichlet(np.full(k, alpha), size=min(FRAGILITY_CHUNK, samples - start))
+        champions = np.empty(len(weights), dtype=np.intp)
         rows = max(1, _KENDALL_CHUNK_CELLS // len(cols))
-        for sub in range(start, stop, rows):
-            end = min(sub + rows, stop)
-            champions[sub:end] = cols[np.argmax(weights[sub:end] @ zt, axis=1)]
+        for sub in range(0, len(weights), rows):
+            champions[sub : sub + rows] = cols[np.argmax(weights[sub : sub + rows] @ zt, axis=1)]
+        changes += int(np.count_nonzero(champions != baseline))
+        won[champions] = True
         if start == 0 and samples > FRAGILITY_CHUNK:
-            cols = _contenders(zt, np.unique(champions[:FRAGILITY_CHUNK]))
+            cols = _contenders(zt, np.unique(champions))
             zt = np.ascontiguousarray(zt[:, cols])
-    changes = int(np.count_nonzero(champions != baseline))
     return FragilityReport(
         champion_change_rate=changes / samples,
-        distinct_champions=int(np.unique(champions).size),
+        distinct_champions=int(np.count_nonzero(won)),
         alpha=alpha,
         samples=samples,
         seed=seed,

@@ -60,24 +60,28 @@ class ScoreMatrix:
     kind: str  # "binary" | "continuous"
 
     def __post_init__(self) -> None:
-        self._adopt(np.array(self.values, dtype=float), np.array(self.missing, dtype=bool))
+        self._adopt(np.array(self.values, dtype=float), np.array(self.missing, dtype=bool),
+                    self.kind, fold=False)
 
     @classmethod
-    def _owning(cls, task_ids, model_ids, values: np.ndarray, missing: np.ndarray):
-        """``score_matrix`` for a float64 grid and bool mask this module has
-        just made: it folds NaN into the mask and keeps both arrays without
-        copying them. Arrays from callers go through the constructor, which
-        copies."""
-        missing |= ~np.isfinite(values)
+    def _owning(cls, task_ids, model_ids, values: np.ndarray, missing: np.ndarray, kind=None):
+        """A matrix over a float64 grid and bool mask the package has just
+        made, kept without copying; non-finite cells join the mask and a
+        ``None`` kind is inferred. Arrays from callers go through
+        ``score_matrix`` or the constructor, which copy them once."""
         m = cls.__new__(cls)
         object.__setattr__(m, "task_ids", task_ids)
         object.__setattr__(m, "model_ids", model_ids)
-        object.__setattr__(m, "kind", _infer_kind(values, missing))
-        m._adopt(values, missing)
+        m._adopt(values, missing, kind, fold=True)
         return m
 
-    def _adopt(self, values: np.ndarray, missing: np.ndarray) -> None:
-        """Validate, write NaN at the missing cells, freeze and keep both arrays."""
+    def _adopt(self, values: np.ndarray, missing: np.ndarray, kind, fold: bool) -> None:
+        """Validate, write NaN at the missing cells, freeze and keep both arrays.
+
+        ``fold`` (the internal builders) adds non-finite cells to the mask and
+        infers a ``None`` kind; the public constructor rejects both. Each
+        check is one pass over the grid.
+        """
         task_ids = tuple(str(t) for t in self.task_ids)
         model_ids = tuple(str(m) for m in self.model_ids)
         if values.ndim != 2:
@@ -89,25 +93,25 @@ class ScoreMatrix:
             raise MatrixValidationError("need at least two model columns")
         if len(task_ids) != t or len(model_ids) != n:
             raise MatrixValidationError("id lists must match the grid shape")
-        positions = []
-        for name, ids in (("task", task_ids), ("model", model_ids)):
-            seen: dict[str, int] = {}
-            for pos, i in enumerate(ids):
-                if i in seen:
-                    raise MatrixValidationError(f"duplicate {name} id: {i!r}")
-                seen[i] = pos
-            positions.append(seen)
+        task_pos = _id_positions(task_ids, "task")
+        model_pos = _id_positions(model_ids, "model")
         if missing.shape != values.shape:
             raise MatrixValidationError("missing mask must match the grid shape")
-        if not (np.isfinite(values) | missing).all():
+        if fold:
+            missing |= ~np.isfinite(values)
+        elif not (np.isfinite(values) | missing).all():
             raise MatrixValidationError("non-missing cells must be finite")
         values[missing] = np.nan
         if not missing.all() and (np.nanmin(values) < 0.0 or np.nanmax(values) > 1.0):
             raise MatrixValidationError("scores must lie in [0, 1]")
-        if self.kind not in ("binary", "continuous"):
-            raise MatrixValidationError(f"unknown kind: {self.kind!r}")
-        if self.kind == "binary" and not _zero_one(values, missing):
-            raise MatrixValidationError("binary matrix contains non-0/1 cells")
+        if kind not in ("binary", "continuous") and not (fold and kind is None):
+            raise MatrixValidationError(f"unknown kind: {kind!r}")
+        if kind != "continuous":
+            zero_one = _zero_one(values, missing)
+            if kind is None:
+                kind = "binary" if zero_one and not missing.all() else "continuous"
+            elif not zero_one:
+                raise MatrixValidationError("binary matrix contains non-0/1 cells")
         frac = float(missing.mean())
         if frac > MISSING_WARN_FRACTION:
             warnings.warn(
@@ -120,9 +124,10 @@ class ScoreMatrix:
         object.__setattr__(self, "model_ids", model_ids)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "kind", kind)
         # id -> position lookups for task_index/model_index; not dataclass fields
-        object.__setattr__(self, "_task_pos", positions[0])
-        object.__setattr__(self, "_model_pos", positions[1])
+        object.__setattr__(self, "_task_pos", task_pos)
+        object.__setattr__(self, "_model_pos", model_pos)
 
     @property
     def n_tasks(self) -> int:
@@ -187,26 +192,24 @@ def _zero_one(values: np.ndarray, missing: np.ndarray) -> bool:
     return bool(((values == 0.0) | (values == 1.0) | missing).all())
 
 
-def _infer_kind(values: np.ndarray, missing: np.ndarray) -> str:
-    if not missing.all() and _zero_one(values, missing):
-        return "binary"
-    return "continuous"
+def _id_positions(ids, kind: str) -> dict:
+    """id -> position; the first repeated id raises ``duplicate {kind} id``."""
+    pos: dict = {}
+    for p, i in enumerate(ids):
+        if pos.setdefault(i, p) != p:
+            raise MatrixValidationError(f"duplicate {kind} id: {i!r}")
+    return pos
 
 
 def score_matrix(task_ids, model_ids, values, missing=None, kind=None) -> ScoreMatrix:
-    """Build a validated ScoreMatrix; infers the binary/continuous tag.
+    """Build a validated ScoreMatrix from copies of the caller's arrays;
+    infers the binary/continuous tag when ``kind`` is None.
 
     NaN cells in ``values`` are folded into the missing mask.
     """
-    values = np.asarray(values, dtype=float)
-    nan_mask = ~np.isfinite(values)
-    if missing is None:
-        missing = nan_mask
-    else:
-        missing = np.asarray(missing, dtype=bool) | nan_mask
-    if kind is None:
-        kind = _infer_kind(values, missing)
-    return ScoreMatrix(tuple(task_ids), tuple(model_ids), values, missing, kind)
+    values = np.array(values, dtype=float)
+    missing = np.zeros(values.shape, bool) if missing is None else np.array(missing, dtype=bool)
+    return ScoreMatrix._owning(tuple(task_ids), tuple(model_ids), values, missing, kind)
 
 
 @dataclass(frozen=True)
@@ -244,10 +247,11 @@ def load_matrix(path, format: str = "csv") -> ScoreMatrix:
         _, task_ids, model_ids, values, missing, _ = _read_csv_grid(path, "task", "model")
         if len(model_ids) < 2:
             raise MatrixValidationError(f"{path}:1: header needs at least two model columns")
-        return ScoreMatrix._owning(tuple(task_ids), tuple(model_ids), values, missing)
-    if format == "json":
-        return _load_json(path)
-    raise MatrixValidationError(f"unknown matrix format: {format!r}")
+    elif format == "json":
+        task_ids, model_ids, values, missing = _read_json_matrix(path)
+    else:
+        raise MatrixValidationError(f"unknown matrix format: {format!r}")
+    return ScoreMatrix._owning(task_ids, model_ids, values, missing)
 
 
 def _read_csv_grid(path, row_kind: str, col_kind: str):
@@ -355,7 +359,9 @@ def _write_csv_grid(path, corner: str, row_ids, col_ids, values) -> None:
             fh.write(id_buf.getvalue()[:-2] + cells + "\r\n")
 
 
-def _load_json(path) -> ScoreMatrix:
+def _read_json_matrix(path):
+    """``(task_ids, model_ids, values, missing)`` of a JSON matrix file; the
+    parsed lists are freed on return."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
@@ -366,11 +372,7 @@ def _load_json(path) -> ScoreMatrix:
         raise MatrixValidationError(
             f"{path}: expected keys task_ids, model_ids, values"
         ) from None
-    values, missing = _json_grid(path, raw)
-    # the parsed lists hold about four grids of Python objects: drop them
-    # before score_matrix copies the grid
-    del payload, raw
-    return score_matrix(task_ids, model_ids, values, missing)
+    return (task_ids, model_ids, *_json_grid(path, raw))
 
 
 def _json_grid(path, raw) -> tuple[np.ndarray, np.ndarray]:
@@ -498,9 +500,9 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
 def binarize(m: ScoreMatrix, policy: BinarizationPolicy | None = None) -> ScoreMatrix:
     """Code scores above the threshold as pass (1), the rest as fail (0)."""
     policy = policy or BinarizationPolicy()
-    # NaN compares False; ScoreMatrix writes NaN back at the missing cells
+    # NaN compares False; _adopt writes NaN back at the missing cells
     values = (m.values > policy.threshold).astype(float)
-    return ScoreMatrix(m.task_ids, m.model_ids, values, m.missing, "binary")
+    return ScoreMatrix._owning(m.task_ids, m.model_ids, values, m.missing.copy(), "binary")
 
 
 def impute_missing(m: ScoreMatrix) -> ScoreMatrix:

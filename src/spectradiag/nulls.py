@@ -63,19 +63,6 @@ class EdReport:
         if not self.ci_low <= self.ed <= self.ci_high:
             raise ValueError("confidence interval must bracket the point estimate")
 
-    def to_dict(self) -> dict:
-        return {
-            "ed": self.ed,
-            "pc1_pct": self.pc1_pct,
-            "ed_null": self.ed_null,
-            "ratio": self.ratio,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_tasks": self.n_tasks,
-            "n_models": self.n_models,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class NullSpectrumBand:

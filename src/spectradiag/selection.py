@@ -334,7 +334,6 @@ def baseline_select(
     k: int,
     method: str,
     seed: int = 0,
-    max_swaps: int = 50,
 ) -> SelectionResult:
     """Comparison selectors: random, max-variance, discrimination, k-medoids,
     and the two-stage greedy-then-discrimination method."""
@@ -353,7 +352,7 @@ def baseline_select(
     elif method == "irt_discrimination":
         order = _best_first(_discrimination(values), m.task_ids)[:k].tolist()
     elif method == "k_medoids":
-        order = _k_medoids(values, k, seed, max_swaps)
+        order = _k_medoids(values, k, seed)
     elif method == "two_stage":
         pool = np.array(_greedy_order(ev, values, m.task_ids, min(2 * k, n_tasks))[0])
         ev.reset()

@@ -125,12 +125,10 @@ def _mk_exact_p(n: int, s_obs: int) -> float:
     counts = np.zeros(max_inv + 1, dtype=float)
     counts[0] = 1.0
     for m in range(2, n + 1):
-        new = np.zeros(max_inv + 1)
+        # counts_m[inv] = sum of counts_{m-1}[inv - m + 1 .. inv]
         cum = np.cumsum(counts)
-        for inv in range(max_inv + 1):
-            lo = inv - (m - 1)
-            new[inv] = cum[inv] - (cum[lo - 1] if lo >= 1 else 0.0)
-        counts = new
+        counts = cum.copy()
+        counts[m:] -= cum[:-m]
     total = counts.sum()
     s_values = max_inv - 2 * np.arange(max_inv + 1)
     prob = counts[np.abs(s_values) >= abs(s_obs)].sum() / total
@@ -191,13 +189,13 @@ class SaturationFit:
         return self.ed_inf * n / (n + self.n_half)
 
 
-def saturation_fit(points, max_refine: int = 100) -> SaturationFit:
+def saturation_fit(points) -> SaturationFit:
     """Fit the saturation model by linearized least squares plus Gauss-Newton.
 
     The linearized form 1/ED = 1/ed_inf + (n_half/ed_inf)(1/n) provides the
-    start; damped Gauss-Newton refines on the original scale. A fit collapsing
-    to n_half = 0 (constant series) is flagged as boundary rather than
-    rejected; negative parameters reject the model.
+    start; at most 100 damped Gauss-Newton steps refine on the original
+    scale. A fit collapsing to n_half = 0 (constant series) is flagged as
+    boundary rather than rejected; negative parameters reject the model.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -221,7 +219,7 @@ def saturation_fit(points, max_refine: int = 100) -> SaturationFit:
         return float(np.dot(resid, resid))
 
     best = rss_of(a, b)
-    for _ in range(max_refine):
+    for _ in range(100):
         pred = a * n / (n + b)
         resid = ed - pred
         j_a = n / (n + b)

@@ -491,6 +491,12 @@ class TestTetrachoric:
         with pytest.raises(ValueError, match="marginal"):
             tetrachoric([[0, 0], [10, 10]])
 
+    def test_matrix_names_first_constant_model(self):
+        v = np.array([[1, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 0]], dtype=float)
+        m = score_matrix(["t1", "t2", "t3"], ["a", "b", "c", "d"], v)
+        with pytest.raises(ValueError, match="^model 'b' has a constant outcome column"):
+            tetrachoric_matrix(m)
+
     def test_zero_cell_clamps(self):
         assert tetrachoric([[10, 0], [5, 10]]) == 0.999
         assert tetrachoric([[0, 10], [10, 5]]) == -0.999

@@ -29,6 +29,7 @@ from spectradiag.composite import (
     _contenders,
     _zscore_columns,
 )
+from spectradiag.matrix_io import MatrixValidationError
 
 
 def make_suite(table, bench_ids=None, model_ids=None):
@@ -275,6 +276,14 @@ class TestFragility:
         got = dirichlet_fragility(s, alpha=alpha, samples=samples, seed=seed)
         assert got == dirichlet_fragility_reference(s, alpha=alpha, samples=samples, seed=seed)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.09])
+    def test_small_alpha_chunks_match_reference(self, alpha):
+        """Below alpha 0.1 numpy draws Dirichlet rows through beta variates;
+        the chunked draws must still continue one whole-sample stream."""
+        s = make_suite(np.random.default_rng(4).standard_normal((20, 4)))
+        got = dirichlet_fragility(s, alpha=alpha, samples=2500, seed=3)
+        assert got == dirichlet_fragility_reference(s, alpha=alpha, samples=2500, seed=3)
+
     def test_duplicate_tie_goes_to_smallest_id(self):
         # "m1" and "m0" score identically and beat "m2" under every weighting.
         s = make_suite([[3.0, 2.0], [1.0, 0.0], [3.0, 2.0]], model_ids=["m1", "m2", "m0"])
@@ -314,6 +323,25 @@ class TestFragility:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_memory_flat_in_samples(self):
+        """Weights are drawn per chunk and no per-sample champion array is
+        kept, so ten times the samples may not raise the peak by a fifth."""
+        s = make_suite(np.random.default_rng(6).standard_normal((3000, 12)))
+        peaks = []
+        for samples in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                dirichlet_fragility(s, samples=samples, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, random_suite, samples):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            dirichlet_fragility(random_suite, samples=samples)
 
     def test_score_block_within_cell_budget(self):
         """Each chunk is scored in row sub-blocks of at most the cell budget
@@ -485,6 +513,14 @@ class TestSubsets:
         sub = random_suite.subset_models(["m03", "m01"]).subset_benchmarks(["b4", "b0"])
         assert sub.model_ids == ("m03", "m01") and sub.benchmark_ids == ("b4", "b0")
         np.testing.assert_array_equal(sub.table, random_suite.table[np.ix_([3, 1], [4, 0])])
+
+    def test_duplicate_id_named(self):
+        """The score-matrix rule: the first repeated id is named."""
+        table = np.random.default_rng(0).random((4, 3))
+        with pytest.raises(MatrixValidationError, match="^duplicate model id: 'm0'$"):
+            make_suite(table, model_ids=["m0", "m1", "m0", "m1"])
+        with pytest.raises(MatrixValidationError, match="^duplicate benchmark id: 'b1'$"):
+            make_suite(table, bench_ids=["b0", "b1", "b1"])
 
     def test_unknown_id_rejected(self, random_suite):
         with pytest.raises(ValueError, match="unknown model id: 'nope'"):

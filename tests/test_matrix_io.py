@@ -19,7 +19,13 @@ from spectradiag import (
 )
 from spectradiag.association import pairwise_correlation, save_corr_csv
 from spectradiag.cli import main
-from spectradiag.matrix_io import MatrixValidationError, _read_csv_grid, _write_csv_grid
+from spectradiag import matrix_io
+from spectradiag.matrix_io import (
+    MatrixValidationError,
+    ScoreMatrix,
+    _read_csv_grid,
+    _write_csv_grid,
+)
 from spectradiag.temporal import EdSeries
 
 
@@ -497,7 +503,9 @@ class TestMemory:
         m = grid[0]
         assert self.peak_ratio(lambda: save_matrix(m, tmp_path / "out.csv")) < 1.0
 
-    @pytest.mark.parametrize("derive", ["subset_tasks", "subset_models", "impute_missing"])
+    @pytest.mark.parametrize(
+        "derive", ["subset_tasks", "subset_models", "impute_missing", "binarize"]
+    )
     def test_derived_matrix_below_1_75_results(self, grid, derive):
         """A matrix the module derives keeps the array it gathered or filled:
         no second copy in the constructor. The bound is in the result's bytes."""
@@ -506,6 +514,7 @@ class TestMemory:
             "subset_tasks": lambda: m.subset_tasks(m.task_ids[::2]),
             "subset_models": lambda: m.subset_models(m.model_ids[::2]),
             "impute_missing": lambda: impute_missing(m),
+            "binarize": lambda: binarize(m),
         }[derive]
         assert self.peak_ratio(fn, fn().shape) < 1.75
 
@@ -560,6 +569,76 @@ class TestOneCopy:
         assert m.values[0, 0] == 0.2 and not m.missing[1, 1]
         assert vals[0, 1] == 0.4  # the NaN at the missing cell lands in the copy only
         assert np.isnan(m.values[0, 1])
+
+
+class TestOneValidationPass:
+    """Every builder ends in one ``ScoreMatrix._adopt``; the public
+    constructor keeps its copy-and-reject contract."""
+
+    @pytest.fixture
+    def zero_one_calls(self, monkeypatch):
+        calls = []
+        original = matrix_io._zero_one
+
+        def counting(values, missing):
+            calls.append(values.shape)
+            return original(values, missing)
+
+        monkeypatch.setattr(matrix_io, "_zero_one", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind, calls", [(None, 1), ("binary", 1), ("continuous", 0)])
+    def test_score_matrix_checks_zero_one_once(self, zero_one_calls, kind, calls):
+        m = score_matrix(["t1", "t2"], ["a", "b"], [[1.0, np.nan], [0.0, 1.0]], kind=kind)
+        assert m.kind == (kind or "binary")
+        assert m.missing.tolist() == [[False, True], [False, False]]
+        assert len(zero_one_calls) == calls
+
+    def test_owning_checks_zero_one_once(self, zero_one_calls):
+        values = np.array([[1.0, 0.0], [np.inf, 1.0]])
+        missing = np.zeros((2, 2), dtype=bool)
+        m = ScoreMatrix._owning(("t1", "t2"), ("a", "b"), values, missing)
+        assert m.kind == "binary" and m.values is values and m.missing is missing
+        assert missing.tolist() == [[False, False], [True, False]]
+        assert zero_one_calls == [(2, 2)]
+
+    def test_constructor_copies_and_rejects(self):
+        vals = np.array([[0.0, 1.0], [1.0, np.nan]])
+        mask = np.array([[False, False], [False, True]])
+        m = ScoreMatrix(("t1", "t2"), ("a", "b"), vals, mask, "binary")
+        assert not np.shares_memory(m.values, vals) and not np.shares_memory(m.missing, mask)
+        assert not m.values.flags.writeable and not m.missing.flags.writeable
+        with pytest.raises(MatrixValidationError, match="^non-missing cells must be finite$"):
+            ScoreMatrix(("t1", "t2"), ("a", "b"), vals, np.zeros((2, 2), dtype=bool), "binary")
+        for kind in (None, "ordinal"):
+            with pytest.raises(MatrixValidationError, match=f"^unknown kind: {kind!r}$"):
+                ScoreMatrix(("t1", "t2"), ("a", "b"), vals, mask, kind)
+
+    def test_score_matrix_rejects_mask_of_another_shape(self):
+        # a (1, 2) mask is not broadcast over the rows
+        with pytest.raises(MatrixValidationError, match="missing mask must match the grid shape"):
+            score_matrix(["t1", "t2"], ["a", "b"], np.zeros((2, 2)), np.zeros((1, 2), bool))
+
+    @pytest.mark.parametrize("build", ["score_matrix", "constructor", "csv", "json", "binarize"])
+    def test_missing_fraction_warning_names_the_caller(self, tmp_path, build):
+        vals = np.zeros((10, 2))
+        mask = np.zeros((10, 2), dtype=bool)
+        mask[:2, 0] = True
+        ids = tuple(f"t{i}" for i in range(10))
+        with pytest.warns(UserWarning):
+            m = score_matrix(ids, ["a", "b"], vals, mask)
+        save_matrix(m, tmp_path / "m.csv")
+        save_matrix(m, tmp_path / "m.json", format="json")
+        fn = {
+            "score_matrix": lambda: score_matrix(ids, ["a", "b"], vals, mask),
+            "constructor": lambda: ScoreMatrix(ids, ("a", "b"), vals, mask, "binary"),
+            "csv": lambda: load_matrix(tmp_path / "m.csv"),
+            "json": lambda: load_matrix(tmp_path / "m.json", format="json"),
+            "binarize": lambda: binarize(m),
+        }[build]
+        with pytest.warns(UserWarning, match="missing fraction") as record:
+            fn()
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestBinarize:

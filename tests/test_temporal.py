@@ -224,6 +224,28 @@ class TestMannKendall:
         res = mann_kendall([1.0, 2.0, 3.0, 4.0])
         assert math.isclose(res.p, 2 / 24, rel_tol=1e-12)
 
+    @staticmethod
+    def exact_p_reference(n, s_obs):
+        """Permutation counts by inversion number, one count at a time."""
+        max_inv = n * (n - 1) // 2
+        counts = np.zeros(max_inv + 1)
+        counts[0] = 1.0
+        for m in range(2, n + 1):
+            new = np.zeros(max_inv + 1)
+            cum = np.cumsum(counts)
+            for inv in range(max_inv + 1):
+                lo = inv - (m - 1)
+                new[inv] = cum[inv] - (cum[lo - 1] if lo >= 1 else 0.0)
+            counts = new
+        s_values = max_inv - 2 * np.arange(max_inv + 1)
+        return float(min(1.0, counts[np.abs(s_values) >= abs(s_obs)].sum() / counts.sum()))
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_exact_p_equals_per_count_loop(self, n):
+        max_inv = n * (n - 1) // 2
+        for s in range(-max_inv, max_inv + 1, 2):
+            assert temporal._mk_exact_p(n, s) == self.exact_p_reference(n, s)
+
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             mann_kendall([1.0, 2.0, 3.0])
