@@ -12,14 +12,14 @@ import argparse
 import numpy as np
 
 from spectradiag import (
-    ed_of_matrix,
+    SuiteScores,
     ed_vs_model_count,
     fixed_variance_subset,
     mann_kendall,
     saturation_fit,
     score_matrix,
+    sliding_window_ed,
 )
-from spectradiag.temporal import EdSeries
 
 
 def build_population(seed: int, n_models: int = 400, n_ceiling: int = 120,
@@ -52,16 +52,11 @@ def main() -> None:
     stable = fixed_variance_subset(m, early, late, tol=0.2)
     print(f"{len(stable)} of {m.n_tasks} tasks keep stable variance across cohorts")
 
-    values = m.dense_values()
-    stable_idx = [m.task_index(t) for t in stable]
-    xs, full, ctrl = [], [], []
-    start = 0
-    while start + args.window <= m.n_models:
-        cols = slice(start, start + args.window)
-        xs.append(float(start + args.window))
-        full.append(ed_of_matrix(values[:, cols]))
-        ctrl.append(ed_of_matrix(values[stable_idx, cols]))
-        start += args.step
+    # tasks play the suite's benchmarks: one window ED per model window
+    s = SuiteScores(m.model_ids, m.task_ids, m.dense_values().T)
+    series = sliding_window_ed(s, window=args.window, step=args.step)
+    full = series.ed
+    ctrl = sliding_window_ed(s.subset_benchmarks(stable), window=args.window, step=args.step).ed
 
     mk_full = mann_kendall(full)
     mk_ctrl = mann_kendall(ctrl)
@@ -77,7 +72,7 @@ def main() -> None:
           + (" (boundary)" if fit.boundary else ""))
 
     if args.series_csv:
-        EdSeries(x=tuple(xs), ed=tuple(full)).save_csv(args.series_csv)
+        series.save_csv(args.series_csv)
         print(f"wrote {args.series_csv}")
 
 

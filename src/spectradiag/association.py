@@ -256,10 +256,9 @@ def correlation_ci(
     y,
     method: str = "spearman",
     iterations: int = 10000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for a pairwise correlation.
+    """95% percentile bootstrap interval for a pairwise correlation.
 
     Resample ``i`` draws its indices from ``default_rng((seed, i))`` and is
     skipped when either side is constant. Each chunk of kept resamples is
@@ -288,7 +287,7 @@ def correlation_ci(
         stats.extend(_paired_corr(xs[live], ys[live], method))
     if not stats:
         raise ValueError("all bootstrap resamples were degenerate")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - 0.95) / 2.0
     low, high = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(low), float(high)
 
@@ -320,11 +319,11 @@ def partial_correlation(x, y, z, method: str = "spearman") -> float:
     return float(_paired_corr(rx[None], ry, "pearson")[0])
 
 
-def stratified_correlation(x, y, strata, min_reliable: int = 5, levels=None):
+def stratified_correlation(x, y, strata, levels=None):
     """Per-stratum Spearman correlations.
 
-    Returns a list of ``(label, n, rho, reliable)`` records; groups smaller
-    than ``min_reliable`` are flagged unreliable, and explicitly requested
+    Returns a list of ``(label, n, rho, reliable)`` records; groups of fewer
+    than five members are flagged unreliable, and explicitly requested
     ``levels`` with no members are omitted with a warning.
     """
     x = np.asarray(x, dtype=float)
@@ -342,7 +341,7 @@ def stratified_correlation(x, y, strata, min_reliable: int = 5, levels=None):
             warnings.warn(f"stratum {label!r} is empty; omitted")
             continue
         rho = float(_paired_corr(x[mask][None], y[mask], "spearman")[0]) if n >= 3 else np.nan
-        out.append((label, n, rho, n >= min_reliable))
+        out.append((label, n, rho, n >= 5))
     return out
 
 

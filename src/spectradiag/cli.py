@@ -1,10 +1,13 @@
 """Command-line orchestration of the diagnostic workflow and module ops.
 
-Every subcommand is a pure function of its input files and flags, and only
-those that draw (ed, select, compress, synth, suite) take ``--seed``; the
-others report ``"seed": null``. Primary output is JSON on stdout with stable
-key order, notes go to stderr, and reports embed content digests of their
-inputs. Exit codes: 0 ok, 1 analysis rejected an input/fit, 2 input error.
+Every subcommand is a pure function of its input files and flags. Each
+``cmd_*`` returns its ``(inputs, result, note)`` and writes nothing; ``main``
+alone wraps them in the report ``{command, version, seed, inputs, result}``,
+writes it as JSON with stable key order to stdout (and to ``--out``), and
+then writes the note to stderr. Only the subcommands that draw (ed, select,
+compress, synth, suite) take ``--seed``, so ``"seed"`` is null exactly for
+the others. Reports embed content digests of their inputs. Exit codes: 0 ok,
+1 analysis rejected an input/fit, 2 input error.
 """
 
 from __future__ import annotations
@@ -66,26 +69,8 @@ def _json_safe(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_json_safe(payload), indent=2, allow_nan=False)
-    sys.stdout.write(text + "\n")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 def _note(msg: str) -> None:
     sys.stderr.write(msg + "\n")
-
-
-def _envelope(command: str, seed: int | None, inputs: dict, result: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "inputs": inputs,
-        "result": result,
-    }
 
 
 def _load_preprocessed(args) -> tuple:
@@ -130,7 +115,7 @@ def _floats(texts) -> np.ndarray:
     return np.array(out)
 
 
-def cmd_ed(args) -> int:
+def cmd_ed(args) -> tuple[dict, dict, str]:
     m, steps = _load_preprocessed(args)
     report = build_ed_report(
         m,
@@ -142,37 +127,32 @@ def cmd_ed(args) -> int:
     result["kind"] = m.kind
     result["centering"] = args.centering
     result["preprocessing"] = steps
-    _emit(
-        _envelope("ed", args.seed, {"matrix": _digest(args.matrix)}, result),
-        args.out,
-    )
-    _note(
+    note = (
         f"ED {report.ed:.3f} (null {report.ed_null:.1f}, ratio {report.ratio:.3f}) "
         f"on {m.n_tasks}x{m.n_models} {m.kind} matrix"
     )
-    return 0
+    return {"matrix": _digest(args.matrix)}, result, note
 
 
-def cmd_corr(args) -> int:
+def cmd_corr(args) -> tuple[dict, dict, str]:
     s = load_suite(args.suite)
     c = pairwise_correlation(s.benchmark_table(), ids=s.benchmark_ids, method=args.method)
     flags = redundancy_flags(c, hi=args.redundant, comp=args.complementary)
     result = {
-        "ids": list(c.ids),
+        "ids": c.ids,
         "method": c.method,
         "values": c.values.tolist(),
-        "degenerate_ids": list(c.degenerate_ids),
-        "redundant_pairs": [list(p) for p in flags.redundant],
-        "complementary_pairs": [list(p) for p in flags.complementary],
+        "degenerate_ids": c.degenerate_ids,
+        "redundant_pairs": flags.redundant,
+        "complementary_pairs": flags.complementary,
     }
     if args.csv:
         save_corr_csv(c, args.csv)
-    _emit(_envelope("corr", None, {"suite": _digest(args.suite)}, result), args.out)
-    _note(f"{len(c.ids)}x{len(c.ids)} {c.method} correlation matrix")
-    return 0
+    note = f"{len(c.ids)}x{len(c.ids)} {c.method} correlation matrix"
+    return {"suite": _digest(args.suite)}, result, note
 
 
-def cmd_ceiling(args) -> int:
+def cmd_ceiling(args) -> tuple[dict, dict, str]:
     if not -1.0 < args.rho <= 1.0:
         raise MatrixValidationError("--rho must lie in (-1, 1]")
     value = composite_ceiling(args.rho)
@@ -187,25 +167,23 @@ def cmd_ceiling(args) -> int:
             "approximate when rho is a rank correlation"
         ),
     }
-    _emit(_envelope("ceiling", None, {}, result), args.out)
-    _note(f"ceiling({args.rho}) = {value:.4f}")
-    return 0
+    note = f"ceiling({args.rho}) = {value:.4f}"
+    return {}, result, note
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> tuple[dict, dict, str]:
     m, steps = _load_preprocessed(args)
     res = baseline_select(m, args.k, args.method, seed=args.seed)
     result = res.to_dict()
     result["preprocessing"] = steps
-    _emit(_envelope("select", args.seed, {"matrix": _digest(args.matrix)}, result), args.out)
-    _note(
+    note = (
         f"{args.method} selected {len(res.selected)} tasks; final ED "
         f"{res.ed_trajectory[-1]:.3f}, tau vs full {res.tau_vs_full:.3f}"
     )
-    return 0
+    return {"matrix": _digest(args.matrix)}, result, note
 
 
-def cmd_compress(args) -> int:
+def cmd_compress(args) -> tuple[dict, dict, str]:
     m, steps = _load_preprocessed(args)
     curve = compression_curve(
         m, tau_target=args.tau_target, trials=args.trials, seed=args.seed
@@ -214,42 +192,39 @@ def cmd_compress(args) -> int:
         "tau_target": curve.tau_target,
         "fraction_needed": curve.fraction_needed,
         "reached": curve.reached,
-        "curve": [[f, t] for f, t in curve.curve],
+        "curve": curve.curve,
         "preprocessing": steps,
     }
     if args.csv:
         grid = np.array(curve.curve)
         _write_csv_grid(args.csv, "fraction", grid[:, 0], ["mean_tau"], grid[:, 1:])
-    _emit(_envelope("compress", args.seed, {"matrix": _digest(args.matrix)}, result), args.out)
-    _note(
+    note = (
         f"fraction needed for tau >= {curve.tau_target}: "
         f"{curve.fraction_needed if curve.reached else 'unreached'}"
     )
-    return 0
+    return {"matrix": _digest(args.matrix)}, result, note
 
 
-def cmd_saturate(args) -> int:
+def cmd_saturate(args) -> tuple[dict, dict, str]:
     n, ed = _read_series_csv(args.points)
     fit = saturation_fit(np.column_stack([n, ed]))
     result = {**asdict(fit), "points": int(n.size)}
-    _emit(_envelope("saturate", None, {"points": _digest(args.points)}, result), args.out)
-    _note(f"ED_inf {fit.ed_inf:.2f}, half-saturation at n {fit.n_half:.1f}")
-    return 0
+    note = f"ED_inf {fit.ed_inf:.2f}, half-saturation at n {fit.n_half:.1f}"
+    return {"points": _digest(args.points)}, result, note
 
 
-def cmd_trend(args) -> int:
+def cmd_trend(args) -> tuple[dict, dict, str]:
     x, ed = _read_series_csv(args.series)
     if ed.size < 4:
         raise MatrixValidationError("trend test needs at least four series points")
     mk = mann_kendall(ed)
     tid = temporal_information_density(EdSeries(x=tuple(x), ed=tuple(ed)))
     result = {**asdict(mk), "tid_slope": tid, "points": int(x.size)}
-    _emit(_envelope("trend", None, {"series": _digest(args.series)}, result), args.out)
-    _note(f"Mann-Kendall tau {mk.tau:.3f} (p {mk.p:.3g}), TID slope {tid:.5f}")
-    return 0
+    note = f"Mann-Kendall tau {mk.tau:.3f} (p {mk.p:.3g}), TID slope {tid:.5f}"
+    return {"series": _digest(args.series)}, result, note
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[dict, dict, str]:
     try:
         spec = IrtSpec(
             k=args.k,
@@ -264,27 +239,20 @@ def cmd_synth(args) -> int:
         raise MatrixValidationError(str(exc)) from exc
     m = gen_irt_matrix(spec)
     save_matrix(m, args.out_matrix)
-    result = {
-        "k": spec.k,
-        "tasks": spec.tasks,
-        "models": spec.models,
-        "discrimination_scale": spec.discrimination_scale,
-        "difficulty_spread": spec.difficulty_spread,
-        "loading_orientation": spec.loading_orientation,
-        "written": args.out_matrix,
-        "output_digest": _digest(args.out_matrix)["sha256"],
-    }
-    _emit(_envelope("synth", args.seed, {}, result), args.out)
-    _note(f"wrote {spec.tasks}x{spec.models} k={spec.k} matrix to {args.out_matrix}")
-    return 0
+    result = asdict(spec)
+    del result["seed"]
+    result["written"] = args.out_matrix
+    result["output_digest"] = _digest(args.out_matrix)["sha256"]
+    note = f"wrote {spec.tasks}x{spec.models} k={spec.k} matrix to {args.out_matrix}"
+    return {}, result, note
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args) -> tuple[dict, dict, str]:
     s = load_suite(args.suite)
     ed = suite_ed(s)
     loo = leave_one_out(s)
     result = {
-        "benchmarks": list(s.benchmark_ids),
+        "benchmarks": s.benchmark_ids,
         "models": s.n_models,
         "ed": ed,
         "information_density": information_density(ed, s.n_benchmarks),
@@ -299,9 +267,8 @@ def cmd_suite(args) -> int:
             "distinct_champions": frag.distinct_champions,
             "equal_weight_champion": frag.equal_weight_champion,
         }
-    _emit(_envelope("suite", args.seed, {"suite": _digest(args.suite)}, result), args.out)
-    _note(f"suite ED {ed:.3f} over {s.n_benchmarks} benchmarks ({s.n_models} models)")
-    return 0
+    note = f"suite ED {ed:.3f} over {s.n_benchmarks} benchmarks ({s.n_models} models)"
+    return {"suite": _digest(args.suite)}, result, note
 
 
 def _workflow_step1(s, thresholds):
@@ -314,9 +281,9 @@ def _workflow_step1(s, thresholds):
     )
     return {
         "status": "ok",
-        "redundant_pairs": [list(p) for p in flags.redundant],
-        "vet_fail_pairs": [list(p) for p in flags.vet_fail],
-        "complementary_pairs": [list(p) for p in flags.complementary],
+        "redundant_pairs": flags.redundant,
+        "vet_fail_pairs": flags.vet_fail,
+        "complementary_pairs": flags.complementary,
     }
 
 
@@ -381,7 +348,7 @@ def _workflow_step4(s, candidates, thresholds):
     return {"status": "ok", "shared_models": len(shared), "candidates": per_candidate}
 
 
-def cmd_workflow(args) -> int:
+def cmd_workflow(args) -> tuple[dict, dict, str]:
     thresholds = {
         "redundant": args.redundant,
         "vet": args.vet,
@@ -418,7 +385,7 @@ def cmd_workflow(args) -> int:
         "step3_trend": step3,
         "step4_vet": step4,
     }
-    _emit(_envelope("workflow", None, inputs, result), args.out)
+    notes = []
     for name, step in (
         ("1 redundancy", step1),
         ("2 suite ED", step2),
@@ -426,14 +393,14 @@ def cmd_workflow(args) -> int:
         ("4 vetting", step4),
     ):
         if step["status"] == "skipped":
-            _note(f"step {name}: skipped ({step['reason']})")
+            notes.append(f"step {name}: skipped ({step['reason']})")
         elif "verdict" in step:
-            _note(f"step {name}: {step['verdict']}")
+            notes.append(f"step {name}: {step['verdict']}")
         elif "redundant_pairs" in step:
-            _note(f"step {name}: {len(step['redundant_pairs'])} redundant pair(s)")
+            notes.append(f"step {name}: {len(step['redundant_pairs'])} redundant pair(s)")
         else:
-            _note(f"step {name}: ok")
-    return 0
+            notes.append(f"step {name}: ok")
+    return inputs, result, "\n".join(notes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -549,13 +516,27 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        inputs, result, note = args.func(args)
+        report = {
+            "command": args.command,
+            "version": __version__,
+            "seed": getattr(args, "seed", None),
+            "inputs": inputs,
+            "result": result,
+        }
+        text = json.dumps(_json_safe(report), indent=2, allow_nan=False) + "\n"
+        sys.stdout.write(text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (MatrixValidationError, OSError, json.JSONDecodeError) as exc:
         _note(f"input error: {exc}")
         return 2
     except ValueError as exc:
         _note(f"analysis rejected: {exc}")
         return 1
+    _note(note)
+    return 0
 
 
 if __name__ == "__main__":

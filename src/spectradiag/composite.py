@@ -63,7 +63,23 @@ class SuiteScores:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=float)
+        self._adopt(np.array(self.table, dtype=float, order="C"))
+
+    @classmethod
+    def _owning(cls, model_ids, benchmark_ids, table: np.ndarray) -> "SuiteScores":
+        """A suite over a C-order float64 table the package has just gathered,
+        kept without copying; tables from callers go through the
+        constructor, which copies them once."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "model_ids", model_ids)
+        object.__setattr__(s, "benchmark_ids", benchmark_ids)
+        s._adopt(table)
+        return s
+
+    def _adopt(self, table: np.ndarray) -> None:
+        """Validate, freeze and keep ``table``, then build the id maps."""
+        if table.ndim != 2:
+            raise ValueError("suite scores must be a 2-D models x benchmarks table")
         n, k = table.shape
         if k < 1:
             raise ValueError("a suite needs at least one benchmark")
@@ -71,7 +87,6 @@ class SuiteScores:
             raise ValueError("id lists must match the score table shape")
         if not np.all(np.isfinite(table)):
             raise ValueError("suite scores must be finite (preprocess missing cells)")
-        table = table.copy()
         table.flags.writeable = False
         # id -> position lookups for the subset methods; not dataclass fields
         object.__setattr__(self, "_model_pos", _id_positions(self.model_ids, "model"))
@@ -98,15 +113,15 @@ class SuiteScores:
 
     def subset_benchmarks(self, benchmark_ids) -> "SuiteScores":
         idx = _positions(self._benchmark_pos, benchmark_ids, "benchmark")
-        return SuiteScores(
+        return SuiteScores._owning(
             self.model_ids,
             tuple(self.benchmark_ids[i] for i in idx),
-            self.table[:, idx],
+            np.take(self.table, idx, axis=1),
         )
 
     def subset_models(self, model_ids) -> "SuiteScores":
         idx = self.model_positions(model_ids)
-        return SuiteScores(
+        return SuiteScores._owning(
             tuple(self.model_ids[i] for i in idx), self.benchmark_ids, self.table[idx]
         )
 
@@ -137,8 +152,9 @@ def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
 
 
 def _zscore_columns(table: np.ndarray, benchmark_ids) -> np.ndarray:
-    # a C-order column copy z-scores bit-identically to the reduced suite; a
-    # constant benchmark centers to exact zeros, so its std is exactly 0
+    # column by column, so any column subset of a suite's z equals the z of
+    # that sub-suite bit for bit; a constant benchmark centers to exact
+    # zeros, so its std is exactly 0
     z = center(np.ascontiguousarray(table), "model")
     std = np.sqrt((z * z).sum(axis=0) / z.shape[0])
     if not std.all():
@@ -346,8 +362,7 @@ def leave_one_out(s: SuiteScores) -> dict[str, LeaveOneOut]:
     scores[k] = z @ np.ones(k)
     deltas = []
     for j in range(k):
-        keep = [i for i in range(k) if i != j]
-        zr = _zscore_columns(s.table[:, keep], [s.benchmark_ids[i] for i in keep])
+        zr = np.delete(z, j, axis=1)
         deltas.append(full_ed - ed_of_matrix(np.ascontiguousarray(zr.T), scheme="task"))
         scores[j] = zr @ np.ones(k - 1)
     pos = _rank_positions(scores, s.model_ids)
@@ -377,15 +392,14 @@ def best_subset_search(s: SuiteScores, size: int) -> SubsetSearchResult:
         raise ValueError(f"subset size must lie in [1, {k}]")
     if math.comb(k, size) > 1_000_000:
         raise ValueError("combination count exceeds the exhaustive-search budget")
-    full_pos = _rank_positions(composite_scores(s, np.ones(k)), s.model_ids)
+    z = _zscore_columns(s.table, s.benchmark_ids)
+    full_pos = _rank_positions(z @ np.ones(k), s.model_ids)
     combos = itertools.combinations(range(k), size)
     step = max(1, _KENDALL_CHUNK_CELLS // s.n_models)
     best = worst = None
     while chunk := list(itertools.islice(combos, step)):
         ids = [tuple(s.benchmark_ids[j] for j in c) for c in chunk]
-        scores = np.stack(
-            [_zscore_columns(s.table[:, c], b) @ np.ones(size) for c, b in zip(chunk, ids)]
-        )
+        scores = np.stack([np.take(z, c, axis=1) @ np.ones(size) for c in chunk])
         taus = _kendall_tau_b(_rank_positions(scores, s.model_ids), full_pos)
         hi, lo = int(np.argmax(taus)), int(np.argmin(taus))
         if best is None or taus[hi] > best[1]:

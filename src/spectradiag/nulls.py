@@ -150,11 +150,10 @@ def _leading_run(observed, threshold) -> int:
 def bootstrap_ed_ci(
     m: ScoreMatrix,
     iterations: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
     scheme: str = "task",
 ) -> tuple[float, float]:
-    """Percentile interval of ED under model-column resampling.
+    """95% percentile interval of ED under model-column resampling.
 
     Degenerate resamples carry no spectrum and are skipped: those whose
     columns are all equal (every task row constant), under ``model`` also
@@ -166,8 +165,6 @@ def bootstrap_ed_ci(
     """
     if m.n_models < 5:
         raise ValueError("bootstrap needs at least five model columns")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
     resamples = [
         np.random.default_rng((seed, i)).integers(0, m.n_models, size=m.n_models)
         for i in range(iterations)
@@ -176,7 +173,7 @@ def bootstrap_ed_ci(
     eds = eds[~np.isnan(eds)]
     if not eds.size:
         raise ValueError("every bootstrap resample was degenerate")
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - 0.95) / 2.0
     low, high = np.percentile(eds, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(low), float(high)
 

@@ -520,21 +520,18 @@ class ProspectiveRow:
 
 def prospective_split_eval(
     m: ScoreMatrix,
-    design_fraction: float = 0.6,
     methods=("ed_greedy", "random", "max_variance"),
     ks=(10, 50),
     seed: int = 0,
 ) -> dict[tuple[str, int], ProspectiveRow]:
     """Select on the weaker design cohort, evaluate fidelity on both cohorts.
 
-    Models are split by mean score: the bottom ``design_fraction`` is the
-    design cohort, the rest the future cohort; gap = test - train.
+    Models are split by mean score: the bottom 60% is the design cohort,
+    the rest the future cohort; gap = test - train.
     """
-    if not 0.0 < design_fraction < 1.0:
-        raise ValueError("design_fraction must lie in (0, 1)")
     values = m.dense_values()
     order = _best_first(-values.mean(axis=0), m.model_ids).tolist()
-    cut = int(round(design_fraction * m.n_models))
+    cut = int(round(0.6 * m.n_models))
     design_ids = [m.model_ids[j] for j in order[:cut]]
     future_ids = [m.model_ids[j] for j in order[cut:]]
     if len(design_ids) < 5 or len(future_ids) < 5:

@@ -285,9 +285,9 @@ def fixed_variance_subset(
     early_ids,
     late_ids,
     tol: float = 0.2,
-    eps: float = 1e-9,
 ) -> list[str]:
-    """Tasks whose variance moves less than ``tol`` (relative) between cohorts."""
+    """Tasks whose variance moves less than ``tol`` (relative) between cohorts;
+    the early-cohort variance is floored at 1e-9 in the denominator."""
     early = [m.model_index(i) for i in early_ids]
     late = [m.model_index(i) for i in late_ids]
     if not early or not late:
@@ -295,7 +295,7 @@ def fixed_variance_subset(
     values = m.dense_values()
     var_early = values[:, early].var(axis=1)
     var_late = values[:, late].var(axis=1)
-    keep = np.abs(var_late - var_early) / np.maximum(var_early, eps) < tol
+    keep = np.abs(var_late - var_early) / np.maximum(var_early, 1e-9) < tol
     return [t for t, k in zip(m.task_ids, keep) if k]
 
 

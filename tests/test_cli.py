@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from spectradiag import ed_of_matrix, load_matrix
-from spectradiag.cli import main
+from spectradiag.cli import _build_parser, main
 from spectradiag.matrix_io import _read_csv_grid
 from spectradiag.temporal import EdSeries, mann_kendall, temporal_information_density
 
@@ -188,6 +189,65 @@ class TestSeedFlag:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
         assert json.loads(out1)["seed"] == 7
+
+
+# One successful invocation per subcommand, given the toy matrix, the toy
+# suite, an x,ed series and a scratch directory.
+ENVELOPE_ARGS = {
+    "ed": lambda m, s, series, d: ("--matrix", m, "--bootstrap-iters", "20"),
+    "corr": lambda m, s, series, d: ("--suite", s),
+    "ceiling": lambda m, s, series, d: ("--rho", "0.5"),
+    "workflow": lambda m, s, series, d: ("--suite", s, "--ed-series", series),
+    "select": lambda m, s, series, d: ("--matrix", m, "--k", "1"),
+    "compress": lambda m, s, series, d: ("--matrix", m, "--trials", "3"),
+    "saturate": lambda m, s, series, d: ("--points", series),
+    "trend": lambda m, s, series, d: ("--series", series),
+    "synth": lambda m, s, series, d: (
+        "--k", "1", "--tasks", "20", "--models", "8", "--out-matrix", d / "synth.csv"
+    ),
+    "suite": lambda m, s, series, d: ("--suite", s, "--samples", "50"),
+}
+SEEDED = {"ed", "select", "compress", "synth", "suite"}
+
+
+class TestEnvelope:
+    """``main`` writes every report: the same envelope for each subcommand,
+    the same bytes to stdout and ``--out``, then the note on stderr."""
+
+    def test_every_subcommand_is_covered(self):
+        sub = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert sorted(sub.choices) == sorted(ENVELOPE_ARGS)
+
+    @pytest.mark.parametrize("command", sorted(ENVELOPE_ARGS))
+    def test_one_report_shape(self, capsys, tmp_path, toy_matrix, command):
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "x,ed\n" + "\n".join(f"{i},{10.0 * i / (i + 3.0)}" for i in range(1, 11)),
+            encoding="utf-8",
+        )
+        report = tmp_path / "report.json"
+        suite = DATA / "toy_suite.csv"
+        argv = [command, *ENVELOPE_ARGS[command](toy_matrix, suite, series, tmp_path)]
+        argv += ["--out", report, *(["--seed", "5"] if command in SEEDED else [])]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert list(payload) == ["command", "version", "seed", "inputs", "result"]
+        assert payload["command"] == command
+        assert payload["seed"] == (5 if command in SEEDED else None)
+        assert report.read_bytes() == out.encode("utf-8")
+        assert len(err.splitlines()) == (4 if command == "workflow" else 1)
+
+    def test_unopenable_out_exits_2_after_the_report(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "ceiling", "--rho", "0.5", "--out", tmp_path / "missing" / "report.json"
+        )
+        assert code == 2
+        assert json.loads(out)["command"] == "ceiling"
+        assert err.startswith("input error: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestSelect:

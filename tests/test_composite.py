@@ -528,6 +528,26 @@ class TestSubsets:
         with pytest.raises(ValueError, match="unknown benchmark id: 'b9'"):
             random_suite.subset_benchmarks(["b9"])
 
+    def test_one_dimensional_table_names_the_shape_rule(self):
+        rule = "^suite scores must be a 2-D models x benchmarks table$"
+        with pytest.raises(ValueError, match=rule):
+            SuiteScores(("a", "b"), ("x",), np.array([0.1, 0.2]))
+
+    def test_subset_keeps_the_gathered_table(self):
+        """A subset keeps the rows it gathered: no second copy in the
+        constructor. The bound is in the result's table bytes."""
+        rng = np.random.default_rng(3)
+        s = make_suite(rng.random((3000, 12)), model_ids=[f"m{j:04d}" for j in range(3000)])
+        ids = s.model_ids[::2]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sub = s.subset_models(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / sub.table.nbytes < 2.2
+
 
 class TestLoadSuite:
     def test_csv_layout(self, tmp_path):
