@@ -7,7 +7,18 @@ average-linkage clustering on 1-|r| distances, redundancy/complementarity
 flags, and the Hamming baseline.
 
 Every paired correlation, one pair or R pairs, goes through ``_paired_corr``;
-only Pearson and Spearman matrices take the all-pairs Gram product instead."""
+only correlation matrices take their own path: the all-pairs Gram product
+for Pearson and Spearman, rank-once counting for Kendall.
+
+Kendall's tau-b is ranking then counting: each series of n values is ranked
+once (dense ranks, O(n log n)), and each pair's discordant and joint-tied
+pairs are counted exactly by one of two paths, chosen per chunk of pairs
+from the largest level counts dx and dy among its series. When dx * dy <= n
+they come from the dx x dy contingency table of the ranks, O(n + dx * dy)
+per pair; otherwise from merge-sort inversions of the joint ranks,
+O(n log n) per pair. The counts are the same integers either way.
+``pairwise_correlation`` ranks each of its p live series once, then counts
+its p(p-1)/2 pairs."""
 
 from __future__ import annotations
 
@@ -113,12 +124,20 @@ def _tied_pairs(new: np.ndarray) -> np.ndarray:
 
 
 def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ranks 0, 1, ... along each row of ``v`` and each row's tied pairs."""
+    """Dense ranks 0, 1, ... along each row of ``v`` and each row's tied pairs.
+
+    A row holding a NaN is ranked as one level, all pairs tied, so its tau-b
+    is NaN like a constant row's.
+    """
     order = np.argsort(v, axis=1)
     new = _run_starts(np.take_along_axis(v, order, axis=1))
     ranks = np.empty(v.shape, dtype=np.intp)
     np.put_along_axis(ranks, order, np.cumsum(new, axis=1) - 1, axis=1)
-    return ranks, _tied_pairs(new)
+    ties = _tied_pairs(new)
+    nan = np.isnan(v).any(axis=1)
+    ranks[nan] = 0
+    ties[nan] = v.shape[1] * (v.shape[1] - 1) // 2
+    return ranks, ties
 
 
 def _inversions(v: np.ndarray) -> np.ndarray:
@@ -151,35 +170,71 @@ def _inversions(v: np.ndarray) -> np.ndarray:
     return dis
 
 
+def _table_counts(xr: np.ndarray, yr: np.ndarray, dx: int, dy: int) -> tuple[np.ndarray, ...]:
+    """Discordant and joint-tied pairs of each row pair of dense ranks below
+    ``dx`` and ``dy``, from its dx x dy contingency table.
+
+    One ``bincount`` builds every row's table. A pair is discordant when one
+    point lies at a higher x level and a lower y level than the other, so a
+    cell's discordant partners are the points strictly above it in x and
+    strictly below it in y: one suffix cumsum in x and one prefix cumsum in
+    y. O(n + dx * dy) per row pair.
+    """
+    rows = max(len(xr), len(yr))
+    cell = (np.arange(rows)[:, None] * dx + xr) * dy + yr
+    table = np.bincount(cell.ravel(), minlength=rows * dx * dy).reshape(rows, dx, dy)
+    partners = np.zeros_like(table)
+    partners[:, :-1, 1:] = table[:, :0:-1, :-1].cumsum(axis=1)[:, ::-1].cumsum(axis=2)
+    dis = (table * partners).sum(axis=(1, 2))
+    return dis, (table * (table - 1) // 2).sum(axis=(1, 2))
+
+
+def _tau_from_ranks(xr, xtie, yr, ytie) -> np.ndarray:
+    """Tau-b of each row pair of dense ranks and tied-pair counts (one side
+    may be a single row, paired with every row of the other).
+
+    Discordant and joint-tied pairs come from the contingency table
+    (:func:`_table_counts`) when the rows' level counts satisfy dx * dy <= n,
+    and otherwise from a sort of the joint ranks and :func:`_inversions`.
+    Both counts are exact integers, so either path gives the same tau.
+    """
+    n = xr.shape[1]
+    tot = n * (n - 1) // 2
+    dx, dy = int(xr.max(initial=0)) + 1, int(yr.max(initial=0)) + 1
+    if dx * dy <= n:
+        dis, ntie = _table_counts(xr, yr, dx, dy)
+    else:
+        joint = np.sort(xr * n + yr, axis=1)
+        dis, ntie = _inversions(joint % n), _tied_pairs(_run_starts(joint))
+    s = tot - xtie - ytie + ntie - 2 * dis
+    vx, vy = np.broadcast_arrays(tot - xtie, tot - ytie)
+    live = (vx > 0) & (vy > 0)
+    tau = np.full(live.shape, np.nan)
+    tau[live] = s[live] / np.sqrt(vx[live]) / np.sqrt(vy[live])
+    return np.clip(tau, -1.0, 1.0)
+
+
 def _kendall_tau_b(a, b) -> np.ndarray:
     """Tau-b of each row of ``a`` against ``b``, one vector or a paired stack.
 
     Equals ``scipy.stats.kendalltau(a[r], b[r]).statistic`` row by row: the
-    same exact tie-corrected count (Knight, JASA 61, 1966) with discordant
-    pairs as inversions and ties from run lengths, in scipy's order of
-    operations. A row that is all ties or holds a NaN gives NaN. Rows go in
-    chunks of about ``_KENDALL_CHUNK_CELLS`` entries, so an R x n stack costs
-    O(R n log n) time and O(chunk) memory.
+    same exact tie-corrected count (Knight, JASA 61, 1966) in scipy's order
+    of operations. A row that is all ties or holds a NaN gives NaN. Rows go
+    in chunks of about ``_KENDALL_CHUNK_CELLS`` entries; each chunk is ranked
+    (O(n log n) per row) and counted by :func:`_tau_from_ranks`: from a
+    contingency table in O(n + dx * dy) per row when the chunk's level
+    counts satisfy dx * dy <= n, by merge-sort inversions in O(n log n) per
+    row otherwise. O(chunk) memory either way.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     rows, n = a.shape
-    tot = n * (n - 1) // 2
     out = np.empty(rows)
     step = max(1, _KENDALL_CHUNK_CELLS // max(n, 1))
+    fixed = _dense_ranks(b[None, :]) if b.ndim == 1 else None
     for lo in range(0, rows, step):
-        x = a[lo : lo + step]
-        y = b[None, :] if b.ndim == 1 else b[lo : lo + step]
-        xr, xtie = _dense_ranks(x)
-        yr, ytie = _dense_ranks(y)
-        joint = np.sort(xr * n + yr, axis=1)
-        ntie = _tied_pairs(_run_starts(joint))
-        s = tot - xtie - ytie + ntie - 2 * _inversions(joint % n)
-        dx, dy = np.broadcast_arrays(tot - xtie, tot - ytie)
-        live = (dx > 0) & (dy > 0) & ~np.isnan(x).any(axis=1) & ~np.isnan(y).any(axis=1)
-        tau = np.full(len(x), np.nan)
-        tau[live] = s[live] / np.sqrt(dx[live]) / np.sqrt(dy[live])
-        out[lo : lo + step] = np.clip(tau, -1.0, 1.0)
+        y = fixed or _dense_ranks(b[lo : lo + step])
+        out[lo : lo + step] = _tau_from_ranks(*_dense_ranks(a[lo : lo + step]), *y)
     return out
 
 
@@ -231,9 +286,14 @@ def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix
     live = np.flatnonzero(~flat)
     values = np.full((p, p), np.nan)
     if method == "kendall":
+        # rank each live series once, then count its pairs a chunk at a time
+        ranks, ties = _dense_ranks(table[live])
         i, j = np.triu_indices(live.size, 1)
-        i, j = live[i], live[j]
-        values[i, j] = values[j, i] = _paired_corr(table[i], table[j], method)
+        step = max(1, _KENDALL_CHUNK_CELLS // n)
+        for lo in range(0, i.size, step):
+            a, b = i[lo : lo + step], j[lo : lo + step]
+            tau = _tau_from_ranks(ranks[a], ties[a], ranks[b], ties[b])
+            values[live[a], live[b]] = values[live[b], live[a]] = tau
     else:
         z = _centred(table[live], method)
         # Normalise after the product, as np.corrcoef does: centred ranks are

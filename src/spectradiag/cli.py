@@ -54,10 +54,18 @@ from .temporal import EdSeries, mann_kendall, saturation_fit, temporal_informati
 
 __all__ = ["main"]
 
+_DIGEST_BLOCK = 1 << 20
+
 
 def _digest(path: str) -> dict:
+    """The file's path and SHA-256, read into one buffer of ``_DIGEST_BLOCK`` bytes."""
+    h = hashlib.sha256()
+    buf = bytearray(_DIGEST_BLOCK)
+    view = memoryview(buf)
     with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        while size := fh.readinto(buf):
+            h.update(view[:size])
+    return {"path": path, "sha256": h.hexdigest()}
 
 
 def _json_safe(obj):

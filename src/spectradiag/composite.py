@@ -66,18 +66,22 @@ class SuiteScores:
         self._adopt(np.array(self.table, dtype=float, order="C"))
 
     @classmethod
-    def _owning(cls, model_ids, benchmark_ids, table: np.ndarray) -> "SuiteScores":
+    def _owning(
+        cls, model_ids, benchmark_ids, table: np.ndarray, model_pos=None
+    ) -> "SuiteScores":
         """A suite over a C-order float64 table the package has just gathered,
         kept without copying; tables from callers go through the
-        constructor, which copies them once."""
+        constructor, which copies them once. ``model_pos`` is the model id
+        map of a parent suite with the same ``model_ids``, reused as is."""
         s = cls.__new__(cls)
         object.__setattr__(s, "model_ids", model_ids)
         object.__setattr__(s, "benchmark_ids", benchmark_ids)
-        s._adopt(table)
+        s._adopt(table, model_pos)
         return s
 
-    def _adopt(self, table: np.ndarray) -> None:
-        """Validate, freeze and keep ``table``, then build the id maps."""
+    def _adopt(self, table: np.ndarray, model_pos=None) -> None:
+        """Validate, freeze and keep ``table``, then build the id maps (the
+        model map only when no ``model_pos`` is given)."""
         if table.ndim != 2:
             raise ValueError("suite scores must be a 2-D models x benchmarks table")
         n, k = table.shape
@@ -89,7 +93,9 @@ class SuiteScores:
             raise ValueError("suite scores must be finite (preprocess missing cells)")
         table.flags.writeable = False
         # id -> position lookups for the subset methods; not dataclass fields
-        object.__setattr__(self, "_model_pos", _id_positions(self.model_ids, "model"))
+        if model_pos is None:
+            model_pos = _id_positions(self.model_ids, "model")
+        object.__setattr__(self, "_model_pos", model_pos)
         object.__setattr__(self, "_benchmark_pos", _id_positions(self.benchmark_ids, "benchmark"))
         object.__setattr__(self, "model_ids", tuple(self.model_ids))
         object.__setattr__(self, "benchmark_ids", tuple(self.benchmark_ids))
@@ -117,6 +123,7 @@ class SuiteScores:
             self.model_ids,
             tuple(self.benchmark_ids[i] for i in idx),
             np.take(self.table, idx, axis=1),
+            self._model_pos,
         )
 
     def subset_models(self, model_ids) -> "SuiteScores":

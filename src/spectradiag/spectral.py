@@ -87,26 +87,29 @@ def center(m, scheme: str = "task") -> np.ndarray:
     column step), as does such a column under ``model``; the inexact mean of,
     say, 0.1 would leave rounding residue. The same max and min reject NaN
     and inf, at one max and one min per row (column) beyond the subtraction.
+    A (..., T, N) stack centers each of its grids.
     """
     if scheme not in CENTERING_SCHEMES:
         raise ValueError(f"unknown centering scheme: {scheme!r} (use one of {CENTERING_SCHEMES})")
     x = m.dense_values() if isinstance(m, ScoreMatrix) else np.asarray(m, dtype=float)
-    axis = 0 if scheme == "model" else 1
+    axis = -2 if scheme == "model" else -1
     hi, lo = x.max(axis=axis), x.min(axis=axis)
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("centering requires a complete matrix (no missing cells)")
     if scheme == "none":
         return x.copy()
     out = x - x.mean(axis=axis, keepdims=True)
-    (out.T if axis == 0 else out)[hi == lo] = 0.0
+    (out.swapaxes(-1, -2) if axis == -2 else out)[hi == lo] = 0.0
     if scheme == "double":
-        out -= out.mean(axis=0, keepdims=True)
+        out -= out.mean(axis=-2, keepdims=True)
     return out
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """Gram matrix of ``x`` on its smaller side: min(T, N) square."""
-    return x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
+    """Gram matrix of ``x`` on its smaller side: min(T, N) square, for each
+    grid of a (..., T, N) stack."""
+    xt = x.swapaxes(-1, -2)
+    return xt @ x if x.shape[-2] >= x.shape[-1] else x @ xt
 
 
 def _column_labels(x: np.ndarray, scheme: str) -> np.ndarray:
@@ -223,13 +226,17 @@ def pc1_fraction(s: Spectrum) -> float:
     return float(lam[0] / lam.sum())
 
 
-def _gram_ed(gram: np.ndarray) -> np.ndarray:
-    """tr(G)^2 / ||G||_F^2 of each Gram matrix in a (..., n, n) stack."""
-    trace = gram.trace(axis1=-2, axis2=-1)
+def _sums_ed(trace: np.ndarray, sq_norm: np.ndarray) -> np.ndarray:
+    """ED from its two Gram sums, tr(G)^2 / ||G||_F^2; a zero trace raises."""
     if (trace <= 0.0).any():
         raise ValueError("all-zero spectrum: effective dimensionality undefined")
+    return trace * trace / sq_norm
+
+
+def _gram_ed(gram: np.ndarray) -> np.ndarray:
+    """tr(G)^2 / ||G||_F^2 of each Gram matrix in a (..., n, n) stack."""
     row = gram.reshape(gram.shape[:-2] + (1, -1))
-    return trace * trace / (row @ row.swapaxes(-1, -2))[..., 0, 0]
+    return _sums_ed(gram.trace(axis1=-2, axis2=-1), (row @ row.swapaxes(-1, -2))[..., 0, 0])
 
 
 def ed_of_matrix(m, scheme: str = "task") -> float:

@@ -9,13 +9,18 @@ ED against model count and the insertion probe score all their model subsets
 in one call of ``spectral._column_resample_eds``, the package's one path for
 the ED of a model-column subset.
 
+Sliding windows are scored as stacks of windows within the package's
+``_KENDALL_CHUNK_CELLS`` cell budget, one batched Gram per stack.
+
 The cohort bootstrap scores its R resamples of S models over k benchmarks
 in blocks of B: each resample is a row of model multiplicities, and one
 product of that B x n count matrix with the n cohort models' values and
-pairwise products gives every resample's k x k standardized Gram, O(R * S)
-draws plus O(R * n * k^2) arithmetic instead of R copies of a k x S block,
-in O(B * (S + n)) memory with B * (S + n + k^2) within the package's
-``_KENDALL_CHUNK_CELLS`` cell budget.
+pairwise products gives the k(k+1)/2 upper triangle of every resample's
+covariance, O(R * S) draws plus O(R * n * k^2) arithmetic instead of R
+copies of a k x S block, in O(B * (S + n)) memory with B * (S + n + k^2)
+within the cell budget. A benchmark's constancy in a resample is read from
+its first min(8, S) draws, O(R * k), and from all S only where those agree;
+ED is read from the scaled triangle, O(R * k^2).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .association import _KENDALL_CHUNK_CELLS
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _write_csv_grid
-from .spectral import _column_resample_eds, _gram_ed, center, ed_of_matrix
+from .spectral import _column_resample_eds, _gram, _gram_ed, _sums_ed, center
 
 __all__ = [
     "CohortComparison",
@@ -65,18 +70,18 @@ class EdSeries:
         _write_csv_grid(path, "x", self.x, ["ed"], np.array(self.ed, dtype=float)[:, None])
 
 
-def _window_ed(table: np.ndarray, standardize: bool) -> float:
-    """Suite ED of a benchmarks x models block.
+def _window_ed(blocks: np.ndarray, standardize: bool) -> np.ndarray:
+    """Suite ED of each benchmarks x models block of a (..., k, w) stack.
 
-    With ``standardize`` each benchmark row is z-scored within the block.
+    With ``standardize`` each benchmark row is z-scored within its block.
     A row whose values are all equal contributes nothing either way:
     :func:`center` sets it to exactly zero.
     """
-    x = center(table, "task")
+    x = center(blocks, "task")
     if standardize:
-        std = table.std(axis=1, keepdims=True)
+        std = blocks.std(axis=-1, keepdims=True)
         x /= np.where(std > 0.0, std, 1.0)
-    return ed_of_matrix(x, scheme="none")
+    return _gram_ed(_gram(x))
 
 
 def sliding_window_ed(
@@ -87,24 +92,25 @@ def sliding_window_ed(
 ) -> EdSeries:
     """Per-window suite ED over a pre-sorted model population.
 
-    The x axis is the window's end position (models covered so far).
+    The x axis is the window's end position (models covered so far). The W
+    windows of k benchmarks are scored as (B, k, window) stacks of B
+    windows, B * k * window cells within ``_KENDALL_CHUNK_CELLS`` (at least
+    one window): one centering, one batched Gram and one ED per stack.
+    O(W * k * window * min(k, window)) time, O(B * k * window) memory.
     """
     if window > s.n_models:
         raise ValueError("window exceeds the model population")
     if window < 2 or step < 1:
         raise ValueError("window must be >= 2 and step >= 1")
-    table = s.benchmark_table()
-    xs: list[float] = []
-    eds: list[float] = []
-    start = 0
-    while start + window <= s.n_models:
-        block = table[:, start : start + window]
-        xs.append(float(start + window))
-        eds.append(_window_ed(block, standardize))
-        start += step
+    # (W, k, window) view of the windows over the models x benchmarks table
+    views = np.lib.stride_tricks.sliding_window_view(s.table, window, axis=0)[::step]
+    per = max(1, _KENDALL_CHUNK_CELLS // (s.n_benchmarks * window))
+    eds = np.concatenate([
+        _window_ed(views[lo : lo + per], standardize) for lo in range(0, len(views), per)
+    ])
     return EdSeries(
-        x=tuple(xs),
-        ed=tuple(eds),
+        x=tuple(float(end) for end in range(window, s.n_models + 1, step)),
+        ed=tuple(eds.tolist()),
         meta={"window": window, "step": step, "standardized": standardize},
     )
 
@@ -318,11 +324,15 @@ def _cohort_eds(block: np.ndarray, positions: np.ndarray) -> np.ndarray:
     Each resample is reduced to its model multiplicities (one row of an
     R x n count matrix C); with the block centered by its cohort means (Xc)
     and P the n x k(k+1)/2 per-model products of centered rows, the resample
-    means are C Xc^T / S and its second moments C P / S, so every resample's
-    covariance comes from one product. A benchmark whose sampled values are
-    all equal (decided exactly, from its max and min over the draws) gets a
-    zero row, as :func:`center` gives it in :func:`_window_ed`; the others are scaled to unit
-    variance, and ED is tr(G)^2 / ||G||_F^2 of each k x k result.
+    means are C Xc^T / S and its second moments C P / S, so the upper
+    triangle of every resample's covariance comes from one product. A
+    benchmark whose sampled values are all equal gets a zero row, as
+    :func:`center` gives it in :func:`_window_ed`; the others are scaled to
+    unit variance. The max == min test runs on the first min(8, S) draws of
+    each resample, and in full only where those are all equal, so it stays
+    exact. ED is tr(G)^2 / ||G||_F^2 of each scaled k x k covariance G, from
+    its upper triangle: the trace from the diagonal, the squared norm with
+    weight 2 off the diagonal.
     """
     k, n = block.shape
     r, size = positions.shape
@@ -332,16 +342,17 @@ def _cohort_eds(block: np.ndarray, positions: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(k)
     moments = counts @ np.vstack([xc, xc[i] * xc[j]]).T / size
     mean, second = moments[:, :k], moments[:, k:]
-    cov = np.empty((r, k, k))
-    cov[:, i, j] = cov[:, j, i] = second - mean[:, i] * mean[:, j]
-    constant = np.empty((r, k), dtype=bool)
-    for b, row in enumerate(block):
-        drawn = row[positions]
-        constant[:, b] = drawn.max(axis=1) == drawn.min(axis=1)
-    var = np.where(constant, 1.0, np.diagonal(cov, axis1=1, axis2=2))
+    cov = second - mean[:, i] * mean[:, j]
+    head = block[:, positions[:, :8]]
+    bench, rep = np.nonzero(head.max(axis=2) == head.min(axis=2))
+    drawn = block[bench[:, None], positions[rep]]
+    constant = np.zeros((r, k), dtype=bool)
+    constant[rep, bench] = drawn.max(axis=1) == drawn.min(axis=1)
+    diag = i == j
+    var = np.where(constant, 1.0, cov[:, diag])
     scale = np.where(constant, 0.0, 1.0 / np.sqrt(var))
-    gram = cov * scale[:, :, None] * scale[:, None, :]
-    return _gram_ed(gram)
+    gram = cov * scale[:, i] * scale[:, j]
+    return _sums_ed(gram[:, diag].sum(axis=1), (gram * gram) @ np.where(diag, 1.0, 2.0))
 
 
 def cohort_bootstrap_compare(

@@ -294,6 +294,49 @@ class TestKendallKernel:
         assert np.array_equal(association._kendall_tau_b(a, b), want)
 
 
+@st.composite
+def few_level_ranks(draw):
+    """Dense ranks of few-level integer rows, n in 3..300, against one row or
+    a paired stack: dx * dy falls on both sides of n."""
+    n = draw(st.integers(3, 300))
+    rows = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, draw(st.integers(1, 41)), size=(rows, n)).astype(float)
+    b = rng.integers(0, draw(st.integers(1, 41)), size=(draw(st.sampled_from([1, rows])), n))
+    return association._dense_ranks(a)[0], association._dense_ranks(b.astype(float))[0]
+
+
+class TestKendallTableCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(few_level_ranks())
+    def test_table_counts_equal_merge_counts(self, ranks):
+        xr, yr = ranks
+        n = xr.shape[1]
+        dis, ntie = association._table_counts(xr, yr, xr.max() + 1, yr.max() + 1)
+        joint = np.sort(xr * n + yr, axis=1)
+        assert np.array_equal(dis, association._inversions(joint % n))
+        assert np.array_equal(ntie, association._tied_pairs(association._run_starts(joint)))
+
+    @pytest.mark.parametrize("cells", [association._KENDALL_CHUNK_CELLS, 700])
+    def test_41_level_suite_equals_scipy_per_pair(self, monkeypatch, cells):
+        """Means over 40 items take 41 levels, so 41 * 41 <= 3000 puts every
+        pair on the table path; a 700-cell budget splits the pairs."""
+        rng = np.random.default_rng(4)
+        table = rng.binomial(40, rng.uniform(0.1, 0.9, size=(12, 1)), size=(12, 3000)) / 40.0
+        table[5] = 0.3
+        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", cells)
+        got = pairwise_correlation(table, method="kendall")
+        assert got.degenerate_ids == ("series_5",)
+        # the matrix mirrors the upper triangle; scipy's tau(y, x) may differ
+        # from tau(x, y) in the last bit
+        for i, j in zip(*np.triu_indices(12, 1)):
+            if 5 in (i, j):
+                assert np.isnan(got.values[i, j]) and np.isnan(got.values[j, i])
+            else:
+                assert got.values[i, j] == kendalltau(table[i], table[j]).statistic
+
+
 def paired_rows_reference(a, b, method):
     """Per-row scipy oracle for ``_paired_corr``; None for a constant side."""
     ref = {"pearson": pearsonr, "spearman": spearmanr, "kendall": kendalltau}[method]

@@ -1,16 +1,18 @@
 import argparse
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectradiag import ed_of_matrix, load_matrix
-from spectradiag.cli import _build_parser, main
+from spectradiag.cli import _DIGEST_BLOCK, _build_parser, _digest, main
 from spectradiag.matrix_io import _read_csv_grid
 from spectradiag.temporal import EdSeries, mann_kendall, temporal_information_density
 
@@ -248,6 +250,23 @@ class TestEnvelope:
         assert json.loads(out)["command"] == "ceiling"
         assert err.startswith("input error: ")
         assert len(err.splitlines()) == 1
+
+
+class TestDigest:
+    def test_streams_a_file_larger_than_one_block(self, tmp_path):
+        """The digest is the SHA-256 of the file's bytes, read a block at a
+        time: hashing 4 blocks may not hold more than 2 blocks at once."""
+        data = np.random.default_rng(0).bytes(4 * _DIGEST_BLOCK + 123)
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            got = _digest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+        assert peak < 2 * _DIGEST_BLOCK
 
 
 class TestSelect:

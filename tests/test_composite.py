@@ -548,6 +548,22 @@ class TestSubsets:
             tracemalloc.stop()
         assert (peak - base) / sub.table.nbytes < 2.2
 
+    def test_benchmark_subset_reuses_the_model_map(self):
+        """A benchmark subset keeps the parent's models, so it reuses their
+        id -> position map: the peak is about the gathered table alone."""
+        rng = np.random.default_rng(3)
+        s = make_suite(rng.random((3000, 12)), model_ids=[f"m{j:04d}" for j in range(3000)])
+        ids = s.benchmark_ids[::2]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sub = s.subset_benchmarks(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / sub.table.nbytes < 1.5
+        assert sub.model_positions(["m2999", "m0007"]) == [2999, 7]
+
 
 class TestLoadSuite:
     def test_csv_layout(self, tmp_path):

@@ -183,6 +183,22 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             sliding_window_ed(s, window=11)
 
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_stacks_match_per_window_across_chunks(self, monkeypatch, standardize):
+        """A 3-window cell budget splits the 10 windows into stacks of 3, 3, 3
+        and 1; each ED equals ``_window_ed`` of that window's own block, a
+        slice of ``benchmark_table`` as the per-window loop took it."""
+        table = np.random.default_rng(14).integers(0, 41, size=(115, 4)) / 40.0
+        table[:, 2] = 0.1
+        suite = make_suite(table)
+        monkeypatch.setattr(temporal, "_KENDALL_CHUNK_CELLS", 3 * 4 * 25)
+        series = sliding_window_ed(suite, window=25, step=10, standardize=standardize)
+        starts = range(0, 91, 10)
+        assert series.x == tuple(float(s + 25) for s in starts)
+        blocks = [suite.benchmark_table()[:, s : s + 25] for s in starts]
+        want = [float(_window_ed(block, standardize)) for block in blocks]
+        assert series.ed == tuple(want)
+
     def test_series_invariants(self):
         with pytest.raises(ValueError):
             EdSeries(x=(1.0, 1.0), ed=(1.0, 2.0))
@@ -507,6 +523,39 @@ class TestCohortCompare:
         near_ties = np.count_nonzero(np.abs(ed_b - ed_a) <= 1e-9 * np.abs(ed_a))
         assert abs(got.p_direction - want.p_direction) * iterations <= near_ties + 1e-9
         assert (got.iterations, got.seed) == (want.iterations, want.seed)
+
+    @pytest.mark.parametrize("rare", [True, False])
+    def test_constancy_head_matches_reference(self, monkeypatch, rare):
+        """Benchmark b1 is 0.5 on every model but, when ``rare``, one per
+        cohort at 0.75: some resamples of 30 draws from 12 models first draw
+        that model after their 8-cell head. Without it every draw of b1 is
+        equal. Either way each ED is the per-iteration loop's to 1e-12."""
+        rng = np.random.default_rng(17)
+        table = rng.standard_normal((24, 3))
+        table[:, 1] = 0.5
+        if rare:
+            table[[3, 15], 1] = 0.75
+        s = make_suite(table)
+        a, b = list(s.model_ids[:12]), list(s.model_ids[12:])
+        seen = []
+        real = temporal._cohort_eds
+
+        def record(block, positions):
+            seen.append((block[1, positions], real(block, positions)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(temporal, "_cohort_eds", record)
+        cohort_bootstrap_compare(s, a, b, sample=30, iterations=40, seed=2)
+        _, ed_a, ed_b = cohort_bootstrap_reference(s, a, b, 30, 40, 2)
+        (drawn_a, got_a), (drawn_b, got_b) = seen
+        np.testing.assert_allclose(got_a, ed_a, rtol=1e-12)
+        np.testing.assert_allclose(got_b, ed_b, rtol=1e-12)
+        drawn = np.vstack([drawn_a, drawn_b])
+        head_equal = (drawn[:, :8] == 0.5).all(axis=1)
+        if rare:
+            assert (head_equal & (drawn[:, 8:] == 0.75).any(axis=1)).any()
+        else:
+            assert (drawn == 0.5).all()
 
     def test_peak_does_not_grow_with_iterations(self):
         """Draws and counts live for one block of iterations at a time, so
