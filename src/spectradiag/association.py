@@ -22,6 +22,7 @@ its p(p-1)/2 pairs."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ import numpy as np
 from .matrix_io import ScoreMatrix, _write_csv_grid
 from .spectral import participation_ratio
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _RHO_CLAMP = 0.999
 _RHO_BRACKET = 0.999999
 _KENDALL_CHUNK_CELLS = 1 << 18
@@ -405,6 +405,12 @@ def stratified_correlation(x, y, strata, levels=None):
     return out
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64 Gauss-Legendre nodes and weights, on first use, not at import."""
+    return np.polynomial.legendre.leggauss(64)
+
+
 def _orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """P(Z1 > h, Z2 > k) for standard bivariate normals, one value per pair.
 
@@ -413,12 +419,13 @@ def _orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """
     from scipy.special import ndtr
 
+    nodes, weights = _gauss_legendre()
     ch, ck = ndtr(h), ndtr(k)
-    r = 0.5 * rho[:, None] * (_GL_NODES + 1.0)
+    r = 0.5 * rho[:, None] * (nodes + 1.0)
     onem = 1.0 - r * r
     h2, k2 = h[:, None], k[:, None]
     integrand = np.exp(-(h2 * h2 - 2.0 * h2 * k2 * r + k2 * k2) / (2.0 * onem)) / np.sqrt(onem)
-    return 1.0 - ch - ck + (ch * ck + 0.5 * rho * (integrand @ _GL_WEIGHTS) / (2.0 * np.pi))
+    return 1.0 - ch - ck + (ch * ck + 0.5 * rho * (integrand @ weights) / (2.0 * np.pi))
 
 
 def _density(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -602,21 +609,18 @@ def redundancy_flags(
     comp: float = -0.3,
 ) -> RedundancyFlags:
     """Flag pairs above the redundancy/vetting thresholds or below the
-    complementarity threshold."""
-    redundant, vet_fail, complementary = [], [], []
-    for i in range(len(c.ids)):
-        for j in range(i + 1, len(c.ids)):
-            rho = c.values[i, j]
-            if not np.isfinite(rho):
-                continue
-            pair = (c.ids[i], c.ids[j], float(rho))
-            if rho > hi:
-                redundant.append(pair)
-            if rho > vet:
-                vet_fail.append(pair)
-            if rho < comp:
-                complementary.append(pair)
-    return RedundancyFlags(tuple(redundant), tuple(vet_fail), tuple(complementary))
+    complementarity threshold; each list keeps its pairs i < j in row-major
+    order, and a pair whose correlation is not finite is never flagged."""
+    i, j = np.triu_indices(len(c.ids), 1)
+    rho = c.values[i, j]
+    keep = np.isfinite(rho)
+    i, j, rho = i[keep], j[keep], rho[keep]
+
+    def pairs(mask: np.ndarray) -> tuple[tuple[str, str, float], ...]:
+        rows = zip(i[mask].tolist(), j[mask].tolist(), rho[mask].tolist())
+        return tuple((c.ids[a], c.ids[b], r) for a, b, r in rows)
+
+    return RedundancyFlags(pairs(rho > hi), pairs(rho > vet), pairs(rho < comp))
 
 
 def mean_pairwise_hamming(m: ScoreMatrix) -> float:

@@ -292,7 +292,7 @@ def _workflow_step1(s, thresholds):
         "redundant_pairs": flags.redundant,
         "vet_fail_pairs": flags.vet_fail,
         "complementary_pairs": flags.complementary,
-    }
+    }, f"{len(flags.redundant)} redundant pair(s)"
 
 
 def _workflow_step2(s, thresholds):
@@ -303,7 +303,7 @@ def _workflow_step2(s, thresholds):
         if ed < thresholds["ed_floor"]
         else "multi-dimensional"
     )
-    return {"status": "ok", "ed": ed, "information_density": idv, "verdict": verdict}
+    return {"status": "ok", "ed": ed, "information_density": idv, "verdict": verdict}, verdict
 
 
 def _workflow_step3(series_path, thresholds):
@@ -321,7 +321,7 @@ def _workflow_step3(series_path, thresholds):
         "p": mk.p,
         "declining": declining,
         "verdict": verdict,
-    }
+    }, verdict
 
 
 def _workflow_step4(s, candidates, thresholds):
@@ -353,7 +353,12 @@ def _workflow_step4(s, candidates, thresholds):
                 max_rho is not None and max_rho > thresholds["redundant"]
             ),
         }
-    return {"status": "ok", "shared_models": len(shared), "candidates": per_candidate}
+    return {"status": "ok", "shared_models": len(shared), "candidates": per_candidate}, "ok"
+
+
+def _skipped(reason: str) -> tuple[dict, str]:
+    """A workflow step that did not run, and its note."""
+    return {"status": "skipped", "reason": reason}, f"skipped ({reason})"
 
 
 def cmd_workflow(args) -> tuple[dict, dict, str]:
@@ -373,41 +378,28 @@ def cmd_workflow(args) -> tuple[dict, dict, str]:
         step1 = _workflow_step1(s, thresholds)
         step2 = _workflow_step2(s, thresholds)
     else:
-        step1 = step2 = {"status": "skipped", "reason": "no suite provided"}
+        step1 = step2 = _skipped("no suite provided")
     if args.ed_series:
         inputs["ed_series"] = _digest(args.ed_series)
         step3 = _workflow_step3(args.ed_series, thresholds)
     else:
-        step3 = {"status": "skipped", "reason": "no ED series provided"}
+        step3 = _skipped("no ED series provided")
     if args.candidates and s is not None:
         inputs["candidates"] = _digest(args.candidates)
         step4 = _workflow_step4(
             s, load_suite(args.candidates, min_benchmarks=1), thresholds
         )
     else:
-        step4 = {"status": "skipped", "reason": "no candidates provided"}
+        step4 = _skipped("no candidates provided")
     result = {
         "thresholds": thresholds,
-        "step1_redundancy": step1,
-        "step2_suite_ed": step2,
-        "step3_trend": step3,
-        "step4_vet": step4,
+        "step1_redundancy": step1[0],
+        "step2_suite_ed": step2[0],
+        "step3_trend": step3[0],
+        "step4_vet": step4[0],
     }
-    notes = []
-    for name, step in (
-        ("1 redundancy", step1),
-        ("2 suite ED", step2),
-        ("3 trend", step3),
-        ("4 vetting", step4),
-    ):
-        if step["status"] == "skipped":
-            notes.append(f"step {name}: skipped ({step['reason']})")
-        elif "verdict" in step:
-            notes.append(f"step {name}: {step['verdict']}")
-        elif "redundant_pairs" in step:
-            notes.append(f"step {name}: {len(step['redundant_pairs'])} redundant pair(s)")
-        else:
-            notes.append(f"step {name}: ok")
+    names = ("1 redundancy", "2 suite ED", "3 trend", "4 vetting")
+    notes = (f"step {name}: {step[1]}" for name, step in zip(names, (step1, step2, step3, step4)))
     return inputs, result, "\n".join(notes)
 
 

@@ -110,8 +110,8 @@ class SuiteScores:
         return self.table.shape[1]
 
     def benchmark_table(self) -> np.ndarray:
-        """Benchmarks-as-rows view (k x N), writable copy."""
-        return np.array(self.table.T, copy=True)
+        """Benchmarks-as-rows (k x N): the read-only view ``table.T``."""
+        return self.table.T
 
     def model_positions(self, model_ids) -> list[int]:
         """Row positions of ``model_ids``; ``ValueError`` names an unknown id."""

@@ -474,7 +474,8 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
         model_id = rec.get("model_id")
         if not model_id:
             raise MatrixValidationError(f"{path}: metadata record without model_id")
-        if matrix is not None and model_id not in matrix.model_ids:
+        # a matrix holds string ids; a JSON list or object would not hash
+        if matrix is not None and not (type(model_id) is str and model_id in matrix._model_pos):
             raise MatrixValidationError(
                 f"{path}: metadata model {model_id!r} not present in matrix"
             )

@@ -58,12 +58,10 @@ class IrtSpec:
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) from one exp that never overflows: e = exp(-|x|),
+    then 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def gen_irt_matrix(spec: IrtSpec) -> ScoreMatrix:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import _KENDALL_CHUNK_CELLS
+from .association import _KENDALL_CHUNK_CELLS, _dense_ranks, _inversions
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _write_csv_grid
 from .spectral import _column_resample_eds, _gram, _gram_ed, _sums_ed, center
@@ -73,14 +73,15 @@ class EdSeries:
 def _window_ed(blocks: np.ndarray, standardize: bool) -> np.ndarray:
     """Suite ED of each benchmarks x models block of a (..., k, w) stack.
 
-    With ``standardize`` each benchmark row is z-scored within its block.
+    With ``standardize`` each centered benchmark row is divided by its root
+    mean square, its z-score within the block as in ``_zscore_columns``.
     A row whose values are all equal contributes nothing either way:
     :func:`center` sets it to exactly zero.
     """
     x = center(blocks, "task")
     if standardize:
-        std = blocks.std(axis=-1, keepdims=True)
-        x /= np.where(std > 0.0, std, 1.0)
+        rms = np.sqrt((x * x).sum(axis=-1, keepdims=True) / x.shape[-1])
+        x /= np.where(rms > 0.0, rms, 1.0)
     return _gram_ed(_gram(x))
 
 
@@ -144,26 +145,29 @@ def _mk_exact_p(n: int, s_obs: int) -> float:
 def mann_kendall(series) -> MannKendall:
     """Monotone-trend test with tie-corrected tau.
 
+    S = n(n-1)/2 - tied pairs - 2 * inversions and the tie groups come from
+    the series' dense ranks, as tau-b counts them, in O(n log n); a NaN raises.
     Uses exact enumeration for tie-free series of length <= 10, otherwise the
     normal approximation with continuity correction.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 4:
         raise ValueError("need a 1-D series of length >= 4")
+    if np.isnan(x).any():
+        raise ValueError("series holds NaN")
     n = x.size
-    s = 0
-    for i in range(n - 1):
-        s += int(np.sign(x[i + 1 :] - x[i]).sum())
-    _, tie_counts = np.unique(x, return_counts=True)
+    ranks, ties = _dense_ranks(x[None])
+    tied = int(ties[0])
+    s = int(n * (n - 1) // 2 - tied - 2 * _inversions(ranks)[0])
     d1 = n * (n - 1) / 2.0
-    d2 = d1 - float((tie_counts * (tie_counts - 1) / 2.0).sum())
+    d2 = d1 - tied
     if d2 <= 0.0:
         return MannKendall(tau=0.0, p=1.0, s=0)
     tau = s / math.sqrt(d1 * d2)
-    no_ties = bool(np.all(tie_counts == 1))
-    if no_ties and n <= 10:
+    if tied == 0 and n <= 10:
         p = _mk_exact_p(n, s)
     else:
+        tie_counts = np.bincount(ranks[0])
         var_s = (
             n * (n - 1) * (2 * n + 5)
             - float((tie_counts * (tie_counts - 1) * (2 * tie_counts + 5)).sum())

@@ -753,6 +753,47 @@ class TestRedundancyFlags:
         assert [(p[0], p[1]) for p in flags.vet_fail] == [("a", "b"), ("b", "c")]
         assert [(p[0], p[1]) for p in flags.complementary] == [("a", "c")]
 
+    @staticmethod
+    def pair_loop_reference(c, hi, vet, comp):
+        """One pass over the pairs i < j, skipping undefined correlations."""
+        redundant, vet_fail, complementary = [], [], []
+        for i in range(len(c.ids)):
+            for j in range(i + 1, len(c.ids)):
+                rho = c.values[i, j]
+                if not np.isfinite(rho):
+                    continue
+                pair = (c.ids[i], c.ids[j], float(rho))
+                if rho > hi:
+                    redundant.append(pair)
+                if rho > vet:
+                    vet_fail.append(pair)
+                if rho < comp:
+                    complementary.append(pair)
+        return tuple(redundant), tuple(vet_fail), tuple(complementary)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["pearson", "spearman", "kendall"]),
+    )
+    def test_matches_pair_loop_with_nan_rows(self, p, seed, method):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 4, size=(p, 8)) + rng.standard_normal((p, 8))
+        rows[rng.random(p) < 0.3] = 0.5  # constant rows: NaN entries
+        c = pairwise_correlation(rows, method=method)
+        flags = redundancy_flags(c, hi=0.4, vet=0.1, comp=-0.2)
+        got = (flags.redundant, flags.vet_fail, flags.complementary)
+        assert got == self.pair_loop_reference(c, 0.4, 0.1, -0.2)
+
+    def test_infinite_entry_never_flagged(self):
+        from spectradiag import CorrMatrix
+
+        vals = np.array([[1.0, np.inf, 0.95], [np.inf, 1.0, -np.inf], [0.95, -np.inf, 1.0]])
+        flags = redundancy_flags(CorrMatrix(("a", "b", "c"), vals, "pearson"))
+        assert flags.redundant == flags.vet_fail == (("a", "c", 0.95),)
+        assert flags.complementary == ()
+
 
 class TestHamming:
     def test_identical_and_complementary(self):

@@ -388,15 +388,26 @@ class TestWorkflow:
         assert not cands_out["clone_candidate"]["passes_vet"]
         assert cands_out["clone_candidate"]["outright_redundant"]
         assert cands_out["fresh_candidate"]["passes_vet"]
-        assert "step" in err
+        assert err.splitlines() == [
+            "step 1 redundancy: 1 redundant pair(s)",
+            "step 2 suite ED: effectively one-dimensional; adding benchmarks is the priority",
+            "step 3 trend: sustained decline: population may be homogenizing",
+            "step 4 vetting: ok",
+        ]
 
     def test_missing_steps_skipped(self, capsys):
-        code, out, _ = run(capsys, "workflow", "--suite", DATA / "toy_suite.csv")
+        code, out, err = run(capsys, "workflow", "--suite", DATA / "toy_suite.csv")
         assert code == 0
         payload = json.loads(out)["result"]
         assert payload["step3_trend"]["status"] == "skipped"
         assert payload["step4_vet"]["status"] == "skipped"
         assert payload["step1_redundancy"]["status"] == "ok"
+        assert err.splitlines() == [
+            "step 1 redundancy: 1 redundant pair(s)",
+            "step 2 suite ED: effectively one-dimensional; adding benchmarks is the priority",
+            "step 3 trend: skipped (no ED series provided)",
+            "step 4 vetting: skipped (no candidates provided)",
+        ]
 
     def test_single_candidate_clone_vets_fail(self, capsys, tmp_path):
         suite_lines = (DATA / "toy_suite.csv").read_text().splitlines()
@@ -659,6 +670,13 @@ class TestStartup:
         proc = run_python(["-c", LOADED_AFTER], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False]
+
+    def test_import_leaves_numpy_polynomial_unloaded(self, tmp_path):
+        """The quadrature nodes are computed on first use, not at import."""
+        code = "import sys, spectradiag, spectradiag.cli; print('numpy.polynomial' in sys.modules)"
+        proc = run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize(
         "argv",

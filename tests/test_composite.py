@@ -528,6 +528,13 @@ class TestSubsets:
         with pytest.raises(ValueError, match="unknown benchmark id: 'b9'"):
             random_suite.subset_benchmarks(["b9"])
 
+    def test_benchmark_table_is_the_read_only_transpose(self, random_suite):
+        rows = random_suite.benchmark_table()
+        want = np.array(random_suite.table.T, copy=True)
+        assert not rows.flags.writeable
+        assert np.shares_memory(rows, random_suite.table)
+        assert np.array_equal(rows, want) and rows.strides == want.strides
+
     def test_one_dimensional_table_names_the_shape_rule(self):
         rule = "^suite scores must be a 2-D models x benchmarks table$"
         with pytest.raises(ValueError, match=rule):

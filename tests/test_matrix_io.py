@@ -744,6 +744,12 @@ class TestMetadata:
         with pytest.raises(MatrixValidationError, match="ghost"):
             load_metadata(p, tiny_binary)
 
+    @pytest.mark.parametrize("model_id", ['["m1"]', '{"m": 1}', "1"])
+    def test_non_string_model_id_rejected(self, tmp_path, tiny_binary, model_id):
+        p = write(tmp_path / "meta.json", f'[{{"model_id": {model_id}}}]')
+        with pytest.raises(MatrixValidationError, match="not present in matrix"):
+            load_metadata(p, tiny_binary)
+
     def test_bad_date_rejected(self, tmp_path):
         p = write(tmp_path / "meta.json", '[{"model_id": "m1", "date": "03/01/2025"}]')
         with pytest.raises(MatrixValidationError, match="non-ISO date"):

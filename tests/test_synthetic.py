@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -100,6 +101,27 @@ class TestGenIrt:
         assert not np.array_equal(sphere.values, positive.values)
 
 
+def two_branch_logistic(x):
+    """The logistic as two masked branches: 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestLogistic:
+    def test_equals_two_branch_reference(self):
+        """Bit for bit, at signed zeros, where exp(-|x|) underflows (|x| >=
+        745) and on a spread of ordinary values."""
+        edges = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e4, -1e4, 1e-300, -1e-300]
+        x = np.concatenate([edges, np.random.default_rng(8).standard_normal(20000) * 40.0])
+        assert _logistic(x).tobytes() == two_branch_logistic(x).tobytes()
+        assert _logistic(np.array([-0.0, 745.0, -745.0])).tolist() == [0.5, 1.0, 5e-324]
+
+
 class TestGenIrtBlocks:
     @settings(max_examples=60, deadline=None)
     @given(irt_specs())
@@ -113,6 +135,33 @@ class TestGenIrtBlocks:
         assert not m.missing.any()
         assert m.kind == "binary"
         assert m.task_ids[-1] == f"task_{spec.tasks - 1:0{max(4, len(str(spec.tasks)))}d}"
+
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            (
+                IrtSpec(k=2, tasks=40, models=12, seed=7),
+                "e56f4bd21f0a1c3f7928bfedc450c28632b45e392aa1b25ff4d12c38fbd8fe80",
+            ),
+            (
+                IrtSpec(
+                    k=3, tasks=600, models=3000, discrimination_scale=1.5,
+                    loading_orientation="positive", seed=1,
+                ),
+                "f56d97dade5652f53afca886c75218e1846cfd2af4707de9bdde0fc90b9838df",
+            ),
+            (
+                # |a.theta - b| often exceeds 745, where exp(-|x|) underflows
+                IrtSpec(k=4, tasks=300, models=500, discrimination_scale=400.0,
+                        difficulty_spread=3.0, seed=9),
+                "ca717ff1873b12869f32b61e45017196be03983cadb2f923ed4aa5c41e4b0013",
+            ),
+        ],
+        ids=["small", "suite-sized", "saturated"],
+    )
+    def test_grid_digest_is_pinned(self, spec, digest):
+        """The grids' sha256 as the two-branch logistic produced them."""
+        assert hashlib.sha256(gen_irt_matrix(spec).values.tobytes()).hexdigest() == digest
 
     def test_spec_spans_several_blocks(self):
         rows = _KENDALL_CHUNK_CELLS // 4 // 400

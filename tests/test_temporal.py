@@ -24,7 +24,7 @@ from spectradiag import (
     temporal_information_density,
 )
 from spectradiag.association import _KENDALL_CHUNK_CELLS
-from spectradiag.spectral import _column_resample_eds
+from spectradiag.spectral import _column_resample_eds, _gram, _gram_ed, center
 from spectradiag.temporal import CohortComparison, _window_ed
 
 
@@ -199,6 +199,21 @@ class TestSlidingWindow:
         want = [float(_window_ed(block, standardize)) for block in blocks]
         assert series.ed == tuple(want)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zscore_equals_std_reference(self, order):
+        """Scaling each centered row by its root mean square equals dividing
+        by ``np.std``, bit for bit, in either memory layout; the constant 0.1
+        row centers to zeros and stays zero."""
+        rng = np.random.default_rng(21)
+        blocks = rng.integers(0, 41, size=(6, 4, 37)) / 40.0
+        blocks[:, 1] = 0.1
+        blocks[3, 2] = rng.standard_normal(37) * 1e3
+        blocks = np.asarray(blocks, order=order)
+        x = center(blocks, "task")
+        std = blocks.std(axis=-1, keepdims=True)
+        x /= np.where(std > 0.0, std, 1.0)
+        assert _window_ed(blocks, True).tobytes() == _gram_ed(_gram(x)).tobytes()
+
     def test_series_invariants(self):
         with pytest.raises(ValueError):
             EdSeries(x=(1.0, 1.0), ed=(1.0, 2.0))
@@ -265,6 +280,47 @@ class TestMannKendall:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             mann_kendall([1.0, 2.0, 3.0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            mann_kendall([1.0, 2.0, np.nan, 3.0, 4.0])
+
+    @staticmethod
+    def sign_loop_reference(series) -> tuple[float, float, int]:
+        """(tau, p, S) with S from the O(n^2) sign loop and the tie groups
+        from ``np.unique``."""
+        x = np.asarray(series, dtype=float)
+        n = x.size
+        s = 0
+        for i in range(n - 1):
+            s += int(np.sign(x[i + 1 :] - x[i]).sum())
+        _, t = np.unique(x, return_counts=True)
+        d1 = n * (n - 1) / 2.0
+        d2 = d1 - float((t * (t - 1) / 2.0).sum())
+        if d2 <= 0.0:
+            return 0.0, 1.0, 0
+        tau = s / math.sqrt(d1 * d2)
+        if np.all(t == 1) and n <= 10:
+            return tau, temporal._mk_exact_p(n, s), s
+        var_s = (n * (n - 1) * (2 * n + 5) - float((t * (t - 1) * (2 * t + 5)).sum())) / 18.0
+        if var_s <= 0.0:
+            return tau, 1.0, s
+        z = (s - (s > 0) + (s < 0)) / math.sqrt(var_s)
+        return tau, math.erfc(abs(z) / math.sqrt(2.0)), s
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(-3, 3).map(float), min_size=4, max_size=60),
+            st.lists(
+                st.floats(-100, 100) | st.sampled_from([0.0, -0.0]), min_size=4, max_size=60
+            ),
+        )
+    )
+    def test_equals_sign_loop(self, xs):
+        res = mann_kendall(xs)
+        assert type(res.s) is int
+        assert (res.tau, res.p, res.s) == self.sign_loop_reference(xs)
 
     def test_normal_tail_does_not_underflow(self):
         # 40 strictly decreasing points: S = -780, var(S) = 40*39*85/18,
