@@ -12,13 +12,17 @@ for Pearson and Spearman, rank-once counting for Kendall.
 
 Kendall's tau-b is ranking then counting: each series of n values is ranked
 once (dense ranks, O(n log n)), and each pair's discordant and joint-tied
-pairs are counted exactly by one of two paths, chosen per chunk of pairs
+pairs are counted exactly by one of two paths, chosen per block of pairs
 from the largest level counts dx and dy among its series. When dx * dy <= n
 they come from the dx x dy contingency table of the ranks, O(n + dx * dy)
 per pair; otherwise from merge-sort inversions of the joint ranks,
 O(n log n) per pair. The counts are the same integers either way.
 ``pairwise_correlation`` ranks each of its p live series once, then counts
-its p(p-1)/2 pairs."""
+its p(p-1)/2 pairs.
+
+``_CELL_BUDGET`` (2 MB of floats) is the package's one working-set budget.
+Only ``_block_rows`` divides it; every loop it bounds steps through
+``_blocks``, except Dirichlet fragility, whose row cost shrinks as it runs."""
 
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .spectral import participation_ratio
 
 _RHO_CLAMP = 0.999
 _RHO_BRACKET = 0.999999
-_KENDALL_CHUNK_CELLS = 1 << 18
+_CELL_BUDGET = 1 << 18
 
 __all__ = [
     "ClusterGrouping",
@@ -70,16 +74,17 @@ class CorrMatrix:
         p = len(self.ids)
         if values.shape != (p, p):
             raise ValueError("correlation grid must be square and match ids")
-        finite = np.isfinite(values)
-        if not np.array_equal(finite, finite.T):
+        # only NaN is undefined, so the range check rejects +-inf
+        defined = ~np.isnan(values)
+        if not np.array_equal(defined, defined.T):
             raise ValueError("undefined entries must be symmetric")
-        if np.any(np.abs(values[finite] - values.T[finite]) > 1e-12):
+        if np.any(np.abs(values[defined]) > 1.0 + 1e-12):
+            raise ValueError("correlations must lie in [-1, 1]")
+        if np.any(np.abs(values[defined] - values.T[defined]) > 1e-12):
             raise ValueError("correlation matrix must be symmetric")
         diag = np.diag(values)
-        if not np.allclose(diag[np.isfinite(diag)], 1.0, atol=1e-12):
+        if not np.allclose(diag[~np.isnan(diag)], 1.0, atol=1e-12):
             raise ValueError("diagonal must be one")
-        if np.any(np.abs(values[finite]) > 1.0 + 1e-12):
-            raise ValueError("correlations must lie in [-1, 1]")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -107,6 +112,18 @@ class RedundancyFlags:
     redundant: tuple[tuple[str, str, float], ...]
     vet_fail: tuple[tuple[str, str, float], ...]
     complementary: tuple[tuple[str, str, float], ...]
+
+
+def _block_rows(cells_per_row: int) -> int:
+    """Rows of ``cells_per_row`` cells that fit in ``_CELL_BUDGET``, at least one."""
+    return max(1, _CELL_BUDGET // max(cells_per_row, 1))
+
+
+def _blocks(n: int, cells_per_row: int):
+    """Slices covering ``range(n)`` in order, ``_block_rows(cells_per_row)`` long."""
+    step = _block_rows(cells_per_row)
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
 
 
 def _run_starts(s: np.ndarray) -> np.ndarray:
@@ -220,21 +237,20 @@ def _kendall_tau_b(a, b) -> np.ndarray:
     Equals ``scipy.stats.kendalltau(a[r], b[r]).statistic`` row by row: the
     same exact tie-corrected count (Knight, JASA 61, 1966) in scipy's order
     of operations. A row that is all ties or holds a NaN gives NaN. Rows go
-    in chunks of about ``_KENDALL_CHUNK_CELLS`` entries; each chunk is ranked
-    (O(n log n) per row) and counted by :func:`_tau_from_ranks`: from a
-    contingency table in O(n + dx * dy) per row when the chunk's level
-    counts satisfy dx * dy <= n, by merge-sort inversions in O(n log n) per
-    row otherwise. O(chunk) memory either way.
+    in :func:`_blocks` of n cells a row; each block is ranked (O(n log n)
+    per row) and counted by :func:`_tau_from_ranks`: from a contingency
+    table in O(n + dx * dy) per row when the block's level counts satisfy
+    dx * dy <= n, by merge-sort inversions in O(n log n) per row otherwise.
+    O(block) memory either way.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     rows, n = a.shape
     out = np.empty(rows)
-    step = max(1, _KENDALL_CHUNK_CELLS // max(n, 1))
     fixed = _dense_ranks(b[None, :]) if b.ndim == 1 else None
-    for lo in range(0, rows, step):
-        y = fixed or _dense_ranks(b[lo : lo + step])
-        out[lo : lo + step] = _tau_from_ranks(*_dense_ranks(a[lo : lo + step]), *y)
+    for block in _blocks(rows, n):
+        y = fixed or _dense_ranks(b[block])
+        out[block] = _tau_from_ranks(*_dense_ranks(a[block]), *y)
     return out
 
 
@@ -286,12 +302,11 @@ def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix
     live = np.flatnonzero(~flat)
     values = np.full((p, p), np.nan)
     if method == "kendall":
-        # rank each live series once, then count its pairs a chunk at a time
+        # rank each live series once, then count its pairs a block at a time
         ranks, ties = _dense_ranks(table[live])
         i, j = np.triu_indices(live.size, 1)
-        step = max(1, _KENDALL_CHUNK_CELLS // n)
-        for lo in range(0, i.size, step):
-            a, b = i[lo : lo + step], j[lo : lo + step]
+        for block in _blocks(i.size, n):
+            a, b = i[block], j[block]
             tau = _tau_from_ranks(ranks[a], ties[a], ranks[b], ties[b])
             values[live[a], live[b]] = values[live[b], live[a]] = tau
     else:
@@ -321,10 +336,10 @@ def correlation_ci(
     """95% percentile bootstrap interval for a pairwise correlation.
 
     Resample ``i`` draws its indices from ``default_rng((seed, i))`` and is
-    skipped when either side is constant. Each chunk of kept resamples is
-    scored in one ``_paired_corr`` call: O(R n) for Pearson and
-    O(R n log n) for Spearman and Kendall, R = ``iterations``, in
-    O(``_KENDALL_CHUNK_CELLS``) memory per chunk.
+    skipped when either side is constant. The kept resamples of each of
+    :func:`_blocks` are scored in one ``_paired_corr`` call: O(R n) for
+    Pearson and O(R n log n) for Spearman and Kendall, R = ``iterations``,
+    in O(``_CELL_BUDGET``) memory per block.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -333,13 +348,12 @@ def correlation_ci(
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     n = x.size
-    step = max(1, _KENDALL_CHUNK_CELLS // max(n, 1))
     stats = []
-    for lo in range(0, iterations, step):
+    for block in _blocks(iterations, n):
         idx = np.array(
             [
                 np.random.default_rng((seed, i)).integers(0, n, size=n)
-                for i in range(lo, min(lo + step, iterations))
+                for i in range(iterations)[block]
             ]
         )
         xs, ys = x[idx], y[idx]

@@ -113,11 +113,12 @@ def _read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _floats(texts) -> np.ndarray:
-    """Each text parsed as a float, NaN where it does not parse."""
+    """Each text parsed as a float, NaN where it does not parse or is not
+    ASCII numeric syntax, the cell rule of ``_read_csv_grid``."""
     out = []
     for text in texts:
         try:
-            out.append(float(text))
+            out.append(float(text) if text.isascii() and "_" not in text else np.nan)
         except ValueError:
             out.append(np.nan)
     return np.array(out)

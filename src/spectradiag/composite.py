@@ -7,13 +7,13 @@ search, and information density.
 
 Rankings and champions are taken in model-id order, so exact score ties go
 to the smallest id. The Dirichlet fragility test scores its R samples over N
-models and k benchmarks in chunks of at most ``FRAGILITY_CHUNK`` samples, one
-product and one argmax per row sub-block of a chunk; the first chunk's P
+models and k benchmarks in chunks of ``association._block_rows(F + k)``
+samples for F contending rows, one product and one argmax per chunk, so a
+chunk's weights and scores share the cell budget. The first chunk's P
 champions prune the rows they dominate, so later chunks score F contenders:
-O(1024 * N * k + P * N * k + R * F * k) time. Each chunk draws its own
-weights, so the working set is one chunk of weights and champions plus a
-score block of at most ``_KENDALL_CHUNK_CELLS`` cells (one row when N alone
-exceeds it), whatever R is.
+O(B * N * k + P * N * k + R * F * k) time for a first chunk of B samples.
+Each chunk draws its own weights, so the working set is one chunk whatever
+R is.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _KENDALL_CHUNK_CELLS, _kendall_tau_b
+from .association import _block_rows, _blocks, _kendall_tau_b
 from .matrix_io import MatrixValidationError, _id_positions, _read_csv_grid
 from .spectral import center, ed_of_matrix
 
@@ -45,10 +45,6 @@ __all__ = [
     "load_suite",
     "suite_ed",
 ]
-
-# Dirichlet samples scored per matrix product in dirichlet_fragility.
-FRAGILITY_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class SuiteScores:
@@ -277,7 +273,7 @@ def _contenders(zt: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     Borzsonyi, Kossmann & Stocker, ICDE 2001). Per benchmark j the key
     dense_rank_j(r) * F + (F - 1 - r) breaks score ties toward the smaller
     id, so the test is key_j(p) > key_j(r) for all j: O(P * F * k) time
-    and two P x F bool masks, at most ``FRAGILITY_CHUNK`` * F bytes each.
+    and two P x F bool masks, P at most the first chunk's sample count.
     """
     k, f = zt.shape
     order = np.argsort(zt, axis=1)
@@ -304,11 +300,10 @@ def dirichlet_fragility(
 
     The champion is the smallest id among the exact score maxima. Each
     distinct z-scored row is scored once, for the smallest id that has it,
-    so models with equal rows tie exactly. Samples are scored
-    ``FRAGILITY_CHUNK`` at a time against those rows in id order, so the
-    first argmax is the champion; later chunks score the first chunk's
-    ``_contenders`` only. Each chunk is scored in row sub-blocks of at most
-    ``_KENDALL_CHUNK_CELLS`` cells (at least one row).
+    so models with equal rows tie exactly. Samples are scored against
+    those rows in id order, so the first argmax is the champion, in chunks
+    of ``_block_rows(F + k)`` samples for F contending rows; later chunks
+    score the first chunk's ``_contenders`` only.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -329,18 +324,18 @@ def dirichlet_fragility(
     cols = np.arange(len(reps))
     changes = 0
     won = np.zeros(len(reps), dtype=bool)
-    for start in range(0, samples, FRAGILITY_CHUNK):
+    done = 0
+    while done < samples:
         # consecutive draws continue the stream of one samples x k draw
-        weights = rng.dirichlet(np.full(k, alpha), size=min(FRAGILITY_CHUNK, samples - start))
-        champions = np.empty(len(weights), dtype=np.intp)
-        rows = max(1, _KENDALL_CHUNK_CELLS // len(cols))
-        for sub in range(0, len(weights), rows):
-            champions[sub : sub + rows] = cols[np.argmax(weights[sub : sub + rows] @ zt, axis=1)]
+        size = min(_block_rows(len(cols) + k), samples - done)
+        weights = rng.dirichlet(np.full(k, alpha), size=size)
+        champions = cols[np.argmax(weights @ zt, axis=1)]
         changes += int(np.count_nonzero(champions != baseline))
         won[champions] = True
-        if start == 0 and samples > FRAGILITY_CHUNK:
+        if done == 0 and size < samples:
             cols = _contenders(zt, np.unique(champions))
             zt = np.ascontiguousarray(zt[:, cols])
+        done += size
     return FragilityReport(
         champion_change_rate=changes / samples,
         distinct_champions=int(np.count_nonzero(won)),
@@ -391,7 +386,7 @@ class SubsetSearchResult:
 def best_subset_search(s: SuiteScores, size: int) -> SubsetSearchResult:
     """Exhaustive search for the benchmark subset whose equal-weight ranking
     best (and worst) reproduces the full-suite ranking; ties go to the first
-    subset, each chunk of subsets is scored in one tau-b call."""
+    subset, each of the ``_blocks`` of subsets is scored in one tau-b call."""
     import math
 
     k = s.n_benchmarks
@@ -402,9 +397,9 @@ def best_subset_search(s: SuiteScores, size: int) -> SubsetSearchResult:
     z = _zscore_columns(s.table, s.benchmark_ids)
     full_pos = _rank_positions(z @ np.ones(k), s.model_ids)
     combos = itertools.combinations(range(k), size)
-    step = max(1, _KENDALL_CHUNK_CELLS // s.n_models)
     best = worst = None
-    while chunk := list(itertools.islice(combos, step)):
+    for block in _blocks(math.comb(k, size), s.n_models):
+        chunk = list(itertools.islice(combos, block.stop - block.start))
         ids = [tuple(s.benchmark_ids[j] for j in c) for c in chunk]
         scores = np.stack([np.take(z, c, axis=1) @ np.ones(size) for c in chunk])
         taus = _kendall_tau_b(_rank_positions(scores, s.model_ids), full_pos)

@@ -261,7 +261,10 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
     Returns ``(corner, row_ids, col_ids, values, missing, linenos)``, NaN at
     the missing cells. An empty file, a header without value columns, no
     rows, a row with the wrong field count, a non-numeric or non-finite cell
-    and a duplicate row or column id raise with ``file:line``.
+    and a duplicate row or column id raise with ``file:line``. A value cell
+    is ASCII numeric syntax: ``float()`` would also read ``_`` between digits
+    and non-ASCII digits and spaces, so a row whose value fields hold either
+    is scanned for the first such cell, which raises as non-numeric.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -280,6 +283,13 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
         values = np.empty((1, len(col_ids)))
         missing = np.zeros((1, len(col_ids)), dtype=bool)
         row_ids, linenos = [], []
+
+        def bad_cell(text: str, col: int) -> MatrixValidationError:
+            return MatrixValidationError(
+                f"{path}:{lineno}: non-numeric cell {text!r} for "
+                f"{row_kind} {row_id!r}, {col_kind} {col_ids[col]!r}"
+            )
+
         for lineno, row in enumerate(reader, start=2):
             if not any(c.strip() for c in row):
                 continue
@@ -288,16 +298,17 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             row_id = row[0].strip()
+            text = "".join(row[1:])
+            if not text.isascii() or "_" in text:
+                col = next(c for c, v in enumerate(row[1:]) if not v.isascii() or "_" in v)
+                raise bad_cell(row[col + 1], col)
             vals, gaps = [], []
             for col, cell in enumerate(row[1:]):
                 try:
                     vals.append(float(cell))
                 except ValueError:
                     if cell.strip():
-                        raise MatrixValidationError(
-                            f"{path}:{lineno}: non-numeric cell {cell.strip()!r} for "
-                            f"{row_kind} {row_id!r}, {col_kind} {col_ids[col]!r}"
-                        ) from None
+                        raise bad_cell(cell.strip(), col) from None
                     gaps.append(col)
                     vals.append(np.nan)
             r = len(row_ids)
@@ -458,7 +469,8 @@ def save_matrix(m: ScoreMatrix, path, format: str = "csv") -> None:
 
 
 def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
-    """Load the companion metadata JSON (array of per-model objects)."""
+    """Load the companion metadata JSON (array of per-model objects), one
+    record per string ``model_id``."""
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -479,6 +491,8 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
             raise MatrixValidationError(
                 f"{path}: metadata model {model_id!r} not present in matrix"
             )
+        if type(model_id) is not str:
+            raise MatrixValidationError(f"{path}: metadata model {model_id!r} is not a string")
         date = rec.get("date")
         try:
             parsed_date = datetime.date.fromisoformat(date) if date else None
@@ -495,6 +509,10 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
                 labels={str(k): bool(v) for k, v in (rec.get("labels") or {}).items()},
             )
         )
+    try:
+        _id_positions([meta.model_id for meta in metas], "model")
+    except MatrixValidationError as exc:
+        raise MatrixValidationError(f"{path}: {exc}") from None
     return metas
 
 

@@ -155,11 +155,12 @@ def bootstrap_ed_ci(
 ) -> tuple[float, float]:
     """95% percentile interval of ED under model-column resampling.
 
-    Degenerate resamples carry no spectrum and are skipped: those whose
-    columns are all equal (every task row constant), under ``model`` also
-    those whose columns are all constant, and under ``double`` those whose
-    columns all differ by constants; :func:`spectral._column_resample_eds`
-    owns that rule and scores the rest from one QR factor of the centered
+    Degenerate resamples carry no spectrum and are skipped: under ``task``
+    those whose columns are all equal (every task row constant), under
+    ``double`` those whose columns all differ by constants, under ``model``
+    those whose columns are all constant and under ``none`` those whose
+    columns are all zero; :func:`spectral._column_resample_eds` owns that
+    rule and scores the rest from one QR factor of the centered
     grid, so R iterations cost O(T * N * min(T, N) + R * min(T, N)^2 * N)
     instead of a T x N copy and a Gram per resample.
     """

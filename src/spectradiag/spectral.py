@@ -117,29 +117,28 @@ def _column_labels(x: np.ndarray, scheme: str) -> np.ndarray:
     ``double`` by the first with equal differences from its first cell, which
     are correctly rounded values of equal reals when two columns differ by a
     constant. Cells are finite and adding 0.0 turns -0.0 into 0.0, so equal
-    bytes mean equal cells. Under ``model`` every constant column centers to
-    zero, so they all share one label. The columns are hashed as the rows of
-    one transposed copy, freed before the caller centers the grid.
+    bytes mean equal cells. The columns are hashed as the rows of one
+    transposed copy, freed before the caller centers the grid.
     """
     cols = np.array(x.T, order="C")
     if scheme == "double":
         cols -= cols[:, :1]
     cols += 0.0
     first: dict[bytes, int] = {}
-    labels = np.array([first.setdefault(col.tobytes(), j) for j, col in enumerate(cols)])
-    if scheme == "model":
-        labels[x.max(axis=0) == x.min(axis=0)] = -1
-    return labels
+    return np.array([first.setdefault(col.tobytes(), j) for j, col in enumerate(cols)])
 
 
 def _column_resample_eds(x: np.ndarray, subsets, scheme: str) -> np.ndarray:
     """ED of ``x[:, idx]`` centered by ``scheme``, for each ``idx`` in ``subsets``.
 
     A degenerate subset, one with no spectrum, gets NaN and no
-    :func:`ed_of_matrix` call. It is degenerate exactly when all its
-    :func:`_column_labels` are equal. The labels decide, not the factor:
-    three equal continuous columns task-center to exactly zero, but their
-    copies in R differ by rounding.
+    :func:`ed_of_matrix` call. Under ``task`` and ``double`` it is
+    degenerate exactly when all its :func:`_column_labels` are equal. The
+    labels decide, not the factor: three equal continuous columns
+    task-center to exactly zero, but their copies in R differ by rounding.
+    Under ``model`` and ``none`` each column is centered alone, so equal
+    columns keep a rank-one spectrum; a subset is degenerate only when every
+    column centers to zero: constant under ``model``, all zero under ``none``.
 
     Every other ED is :func:`ed_of_matrix` of the ``idx`` columns of the
     min(T, N) x N factor R of a QR decomposition of the full grid Xc centered
@@ -152,13 +151,18 @@ def _column_resample_eds(x: np.ndarray, subsets, scheme: str) -> np.ndarray:
     O(min(T, N) * n * min(T, N, n)) per subset of n columns, with no T x n
     array per subset when T > N.
     """
-    labels = _column_labels(x, scheme)
+    if scheme in ("task", "double"):
+        labels = _column_labels(x, scheme)
+        dead = [(labels[idx] == labels[idx[0]]).all() for idx in subsets]
+    else:
+        hi, lo = x.max(axis=0), x.min(axis=0)
+        zero = hi == lo if scheme == "model" else (hi == 0.0) & (lo == 0.0)
+        dead = [zero[idx].all() for idx in subsets]
     factor = np.linalg.qr(center(x, scheme), mode="r")
     subset_scheme = "task" if scheme in ("task", "double") else "none"
     return np.array([
-        np.nan if (labels[idx] == labels[idx[0]]).all()
-        else ed_of_matrix(factor[:, idx], subset_scheme)
-        for idx in subsets
+        np.nan if d else ed_of_matrix(factor[:, idx], subset_scheme)
+        for d, idx in zip(dead, subsets)
     ])
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _KENDALL_CHUNK_CELLS, _paired_corr
+from .association import _blocks, _paired_corr
 from .matrix_io import ScoreMatrix
 from .spectral import ed_of_matrix
 
@@ -74,8 +74,8 @@ def gen_irt_matrix(spec: IrtSpec) -> ScoreMatrix:
     The grid is built a block of task rows at a time, in the order and from
     the stream of one whole-grid draw: each block's uniforms are drawn into
     the grid's rows and compared there with the block's probabilities. A
-    block is a quarter of ``_KENDALL_CHUNK_CELLS`` cells, so the four or so
-    block-sized float temporaries of :func:`_logistic` stay within that
+    block is one of ``association._blocks`` at four cells a grid cell, so
+    the four or so float temporaries of :func:`_logistic` stay within the
     budget and the working set is about the grid, its mask and one block.
     """
     rng = np.random.default_rng(spec.seed)
@@ -89,9 +89,7 @@ def gen_irt_matrix(spec: IrtSpec) -> ScoreMatrix:
     loadings = loadings * spec.discrimination_scale
     difficulty = rng.normal(0.0, spec.difficulty_spread, size=spec.tasks)
     values = np.empty((spec.tasks, spec.models))
-    rows = max(1, _KENDALL_CHUNK_CELLS // 4 // spec.models)
-    for start in range(0, spec.tasks, rows):
-        block = slice(start, start + rows)
+    for block in _blocks(spec.tasks, 4 * spec.models):
         out = values[block]
         rng.random(out=out)
         np.less(out, _logistic(loadings[block] @ theta.T - difficulty[block, None]), out=out)

@@ -9,8 +9,8 @@ ED against model count and the insertion probe score all their model subsets
 in one call of ``spectral._column_resample_eds``, the package's one path for
 the ED of a model-column subset.
 
-Sliding windows are scored as stacks of windows within the package's
-``_KENDALL_CHUNK_CELLS`` cell budget, one batched Gram per stack.
+Sliding windows are scored as stacks of windows, one of
+``association._blocks`` each, one batched Gram per stack.
 
 The cohort bootstrap scores its R resamples of S models over k benchmarks
 in blocks of B: each resample is a row of model multiplicities, and one
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import _KENDALL_CHUNK_CELLS, _dense_ranks, _inversions
+from .association import _blocks, _dense_ranks, _inversions
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _write_csv_grid
 from .spectral import _column_resample_eds, _gram, _gram_ed, _sums_ed, center
@@ -94,9 +94,9 @@ def sliding_window_ed(
     """Per-window suite ED over a pre-sorted model population.
 
     The x axis is the window's end position (models covered so far). The W
-    windows of k benchmarks are scored as (B, k, window) stacks of B
-    windows, B * k * window cells within ``_KENDALL_CHUNK_CELLS`` (at least
-    one window): one centering, one batched Gram and one ED per stack.
+    windows of k benchmarks are scored as (B, k, window) stacks, one of
+    ``_blocks`` of k * window cells a window each: one centering, one
+    batched Gram and one ED per stack.
     O(W * k * window * min(k, window)) time, O(B * k * window) memory.
     """
     if window > s.n_models:
@@ -105,10 +105,8 @@ def sliding_window_ed(
         raise ValueError("window must be >= 2 and step >= 1")
     # (W, k, window) view of the windows over the models x benchmarks table
     views = np.lib.stride_tricks.sliding_window_view(s.table, window, axis=0)[::step]
-    per = max(1, _KENDALL_CHUNK_CELLS // (s.n_benchmarks * window))
-    eds = np.concatenate([
-        _window_ed(views[lo : lo + per], standardize) for lo in range(0, len(views), per)
-    ])
+    blocks = _blocks(len(views), s.n_benchmarks * window)
+    eds = np.concatenate([_window_ed(views[block], standardize) for block in blocks])
     return EdSeries(
         x=tuple(float(end) for end in range(window, s.n_models + 1, step)),
         ed=tuple(eds.tolist()),
@@ -172,8 +170,6 @@ def mann_kendall(series) -> MannKendall:
             n * (n - 1) * (2 * n + 5)
             - float((tie_counts * (tie_counts - 1) * (2 * tie_counts + 5)).sum())
         ) / 18.0
-        if var_s <= 0.0:
-            return MannKendall(tau=float(tau), p=1.0, s=s)
         if s > 0:
             z = (s - 1) / math.sqrt(var_s)
         elif s < 0:
@@ -204,8 +200,9 @@ def saturation_fit(points) -> SaturationFit:
 
     The linearized form 1/ED = 1/ed_inf + (n_half/ed_inf)(1/n) provides the
     start; at most 100 damped Gauss-Newton steps refine on the original
-    scale. A fit collapsing to n_half = 0 (constant series) is flagged as
-    boundary rather than rejected; negative parameters reject the model.
+    scale. The start has ed_inf > 0 and n_half >= 0, and a step is taken
+    only when it keeps both, so the fit never leaves that region. A fit
+    collapsing to n_half = 0 (constant series) is flagged as boundary.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -253,8 +250,6 @@ def saturation_fit(points) -> SaturationFit:
             scale *= 0.5
         if not improved:
             break
-    if a <= 0.0 or b < 0.0:
-        raise ValueError("saturation model rejected: non-positive parameters")
     boundary = bool(b < 1e-8 * max(1.0, float(np.median(n))))
     return SaturationFit(ed_inf=float(a), n_half=float(b), rss=best, boundary=boundary)
 
@@ -372,9 +367,9 @@ def cohort_bootstrap_compare(
     ``p_direction`` is the fraction of iterations with ED(b) > ED(a);
     Cohen's d is computed on the two bootstrap distributions. Iteration i
     draws cohort a's resample, then cohort b's, from ``default_rng((seed, i))``;
-    the iterations are drawn and scored by :func:`_cohort_eds` in blocks of
-    B, sized so that a block's positions and counts, B * (S + n + k^2)
-    cells, stay within ``_KENDALL_CHUNK_CELLS``. That is O(R * S + R * n * k^2)
+    the iterations are drawn and scored by :func:`_cohort_eds` in
+    ``_blocks`` of B iterations, whose positions and counts take
+    B * (S + n + k^2) cells. That is O(R * S + R * n * k^2)
     time and O(B * (S + n)) memory for R iterations, S = ``sample``, cohorts
     of n models and k benchmarks.
     """
@@ -384,20 +379,13 @@ def cohort_bootstrap_compare(
         raise ValueError("each cohort needs at least ten models")
     table_a, table_b = s.table[idx_a].T, s.table[idx_b].T
     cells = sample + max(len(idx_a), len(idx_b)) + s.n_benchmarks**2
-    rows = max(1, _KENDALL_CHUNK_CELLS // cells)
-    pos_a = np.empty((min(rows, iterations), sample), dtype=np.intp)
-    pos_b = np.empty_like(pos_a)
     ed_a = np.empty(iterations)
     ed_b = np.empty(iterations)
-    for start in range(0, iterations, rows):
-        stop = min(start + rows, iterations)
-        for r, i in enumerate(range(start, stop)):
-            # The positions rng.choice(idx, size=sample, replace=True) would pick.
-            rng = np.random.default_rng((seed, i))
-            pos_a[r] = rng.integers(0, len(idx_a), size=sample)
-            pos_b[r] = rng.integers(0, len(idx_b), size=sample)
-        ed_a[start:stop] = _cohort_eds(table_a, pos_a[: stop - start])
-        ed_b[start:stop] = _cohort_eds(table_b, pos_b[: stop - start])
+    for block in _blocks(iterations, cells):
+        # rng.choice(idx, size=sample) positions, cohort a's then b's per rng
+        rngs = [np.random.default_rng((seed, i)) for i in range(iterations)[block]]
+        for eds, table, n in ((ed_a, table_a, len(idx_a)), (ed_b, table_b, len(idx_b))):
+            eds[block] = _cohort_eds(table, np.array([g.integers(0, n, size=sample) for g in rngs]))
     deltas = ed_b - ed_a
     pooled = math.sqrt((ed_a.var() + ed_b.var()) / 2.0)
     d = float(deltas.mean() / pooled) if pooled > 0.0 else 0.0

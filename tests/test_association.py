@@ -290,7 +290,7 @@ class TestKendallKernel:
         a = rng.normal(size=(40, 33)).round(1)
         b = rng.normal(size=(40, 33) if paired else 33).round(1)
         want = kendall_rows_reference(a, b)
-        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", 100)
+        monkeypatch.setattr(association, "_CELL_BUDGET", 100)
         assert np.array_equal(association._kendall_tau_b(a, b), want)
 
 
@@ -318,14 +318,14 @@ class TestKendallTableCounts:
         assert np.array_equal(dis, association._inversions(joint % n))
         assert np.array_equal(ntie, association._tied_pairs(association._run_starts(joint)))
 
-    @pytest.mark.parametrize("cells", [association._KENDALL_CHUNK_CELLS, 700])
+    @pytest.mark.parametrize("cells", [association._CELL_BUDGET, 700])
     def test_41_level_suite_equals_scipy_per_pair(self, monkeypatch, cells):
         """Means over 40 items take 41 levels, so 41 * 41 <= 3000 puts every
         pair on the table path; a 700-cell budget splits the pairs."""
         rng = np.random.default_rng(4)
         table = rng.binomial(40, rng.uniform(0.1, 0.9, size=(12, 1)), size=(12, 3000)) / 40.0
         table[5] = 0.3
-        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", cells)
+        monkeypatch.setattr(association, "_CELL_BUDGET", cells)
         got = pairwise_correlation(table, method="kendall")
         assert got.degenerate_ids == ("series_5",)
         # the matrix mirrors the upper triangle; scipy's tau(y, x) may differ
@@ -400,7 +400,7 @@ class TestCorrelationCi:
         rng = np.random.default_rng(n)
         x = rng.integers(0, 3, n).astype(float)
         y = x + rng.integers(0, 2, n)
-        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", 7 * n)
+        monkeypatch.setattr(association, "_CELL_BUDGET", 7 * n)
         got = correlation_ci(x, y, method="kendall", iterations=300, seed=2)
         assert got == kendall_ci_reference(x, y, 300, seed=2)
 
@@ -410,7 +410,7 @@ class TestCorrelationCi:
         rng = np.random.default_rng(n)
         x = rng.integers(0, 3, n).astype(float)
         y = x + rng.integers(0, 2, n)
-        monkeypatch.setattr(association, "_KENDALL_CHUNK_CELLS", 7 * n)
+        monkeypatch.setattr(association, "_CELL_BUDGET", 7 * n)
         got = correlation_ci(x, y, method=method, iterations=300, seed=2)
         ref = pearsonr if method == "pearson" else spearmanr
         want = corr_ci_reference(x, y, 300, ref, seed=2)
@@ -786,13 +786,14 @@ class TestRedundancyFlags:
         got = (flags.redundant, flags.vet_fail, flags.complementary)
         assert got == self.pair_loop_reference(c, 0.4, 0.1, -0.2)
 
-    def test_infinite_entry_never_flagged(self):
+    def test_infinite_entry_rejected(self):
+        """Only NaN is undefined, so an infinite entry fails the range check
+        and never reaches the flags."""
         from spectradiag import CorrMatrix
 
         vals = np.array([[1.0, np.inf, 0.95], [np.inf, 1.0, -np.inf], [0.95, -np.inf, 1.0]])
-        flags = redundancy_flags(CorrMatrix(("a", "b", "c"), vals, "pearson"))
-        assert flags.redundant == flags.vet_fail == (("a", "c", 0.95),)
-        assert flags.complementary == ()
+        with pytest.raises(ValueError, match=r"correlations must lie in \[-1, 1\]"):
+            CorrMatrix(("a", "b", "c"), vals, "pearson")
 
 
 class TestHamming:

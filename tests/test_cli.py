@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectradiag import ed_of_matrix, load_matrix
+from spectradiag import ed_of_matrix, impute_missing, load_matrix
 from spectradiag.cli import _DIGEST_BLOCK, _build_parser, _digest, main
 from spectradiag.matrix_io import _read_csv_grid
 from spectradiag.temporal import EdSeries, mann_kendall, temporal_information_density
@@ -140,6 +140,17 @@ class TestEdCommand:
             capsys, "ed", "--matrix", p, "--no-binarize", "--bootstrap-iters", "0"
         )
         assert json.loads(out)["result"]["kind"] == "continuous"
+
+    def test_missing_cells_imputed(self, capsys, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text(
+            "task_id,a,b,c\nt1,1,,0\nt2,0,1,\nt3,1,1,0\nt4,,0,1\n", encoding="utf-8"
+        )
+        code, out, _ = run(capsys, "ed", "--matrix", p, "--bootstrap-iters", "0")
+        assert code == 0
+        payload = json.loads(out)["result"]
+        assert payload["preprocessing"] == ["imputed missing cells with model means"]
+        assert payload["ed"] == ed_of_matrix(impute_missing(load_matrix(p)))
 
 
 class TestCeiling:
@@ -534,6 +545,8 @@ GRID_DEFECTS = ("ragged", "non-numeric", "inf", "blank", "duplicate id")
 SERIES_DEFECTS = {
     "non-numeric value": ("x,ed\n1,3.0\n2,2.8\n3,oops\n4,2.1\n", 4),
     "non-numeric x": ("x,ed\n1,3.0\nsecond,2.8\n3,2.5\n4,2.1\n", 3),
+    "underscore x": ("x,ed\n1,3.0\n2,2.8\n3_0,2.5\n4,2.1\n", 4),
+    "non-ASCII x": ("x,ed\n1,3.0\n\u0662,2.8\n3,2.5\n4,2.1\n", 3),
     "one-field row": ("x,ed\n1,3.0\n2,2.8\n3\n4,2.1\n", 4),
     "missing value": ("x,ed\n1,3.0\n2,\n3,2.5\n4,2.1\n", 3),
     "headerless": ("1,3.0\n2,2.8\n3,2.5\n4,2.1\n", 1),

@@ -21,7 +21,7 @@ from spectradiag import (
     load_suite,
     suite_ed,
 )
-from spectradiag.association import _KENDALL_CHUNK_CELLS
+from spectradiag.association import _block_rows
 from spectradiag.composite import (
     FragilityReport,
     LeaveOneOut,
@@ -344,9 +344,9 @@ class TestFragility:
             dirichlet_fragility(random_suite, samples=samples)
 
     def test_score_block_within_cell_budget(self):
-        """Each chunk is scored in row sub-blocks of at most the cell budget
-        (2 MB), so the peak is about the weights, the z-scores and one
-        sub-block; a whole 1024 x 3000 chunk alone would take 24.6 MB."""
+        """Each chunk's weights and scores share the cell budget (2 MB), so
+        the peak is about the z-scores and one chunk; a 1024 x 3000 block of
+        scores alone would take 24.6 MB."""
         s = make_suite(np.random.default_rng(6).standard_normal((3000, 12)))
         tracemalloc.start()
         try:
@@ -357,10 +357,11 @@ class TestFragility:
         assert peak < 8 * 2**20
 
     def test_sub_blocks_match_reference(self):
-        """400 distinct rows split the first chunk into two sub-blocks."""
+        """400 distinct rows and 3 benchmarks make a first chunk of 650
+        samples, so 1100 samples take that chunk, which prunes the rows, and
+        a second chunk against the contenders left."""
         s = make_suite(np.random.default_rng(7).standard_normal((400, 3)))
-        rows = _KENDALL_CHUNK_CELLS // 400
-        assert rows < 1024 < 2 * rows
+        assert _block_rows(400 + 3) == 650
         got = dirichlet_fragility(s, samples=1100, seed=3)
         assert got == dirichlet_fragility_reference(s, samples=1100, seed=3)
 

@@ -546,6 +546,22 @@ class TestCsvGrowth:
         with pytest.raises(MatrixValidationError, match=r"m\.csv:42: non-numeric cell 'x'"):
             _read_csv_grid(path, "task", "model")
 
+    @pytest.mark.parametrize(
+        "cell", ["0_1", "\u0661", "\u00a00.5"], ids=["underscore", "non_ascii_digit", "non_ascii_space"]
+    )
+    def test_value_cells_are_ascii_numeric_syntax(self, tmp_path, cell):
+        """``float`` reads each of these cells as a number; a value cell must
+        not hold them, while ids keep ``_`` and non-ASCII text."""
+        assert float(cell) in (1.0, 0.5)
+        header = "task_id,m_1,mod\u00e8le\n"
+        m = load_matrix(write(tmp_path / "ok.csv", header + "t_\u00e9,0.5,0.25\n"))
+        assert (m.task_ids, m.model_ids) == (("t_\u00e9",), ("m_1", "mod\u00e8le"))
+        path = write(tmp_path / "m.csv", header + f"t_1,0.5,0.25\nt_2,0.5,{cell}\n")
+        want = f"m.csv:3: non-numeric cell {cell!r} for task 't_2', model 'mod\u00e8le'"
+        with pytest.raises(MatrixValidationError) as err:
+            load_matrix(path)
+        assert str(err.value).endswith(want)
+
 
 class TestOneCopy:
     def test_dense_values_is_the_read_only_grid(self, tiny_continuous):
@@ -749,6 +765,22 @@ class TestMetadata:
         p = write(tmp_path / "meta.json", f'[{{"model_id": {model_id}}}]')
         with pytest.raises(MatrixValidationError, match="not present in matrix"):
             load_metadata(p, tiny_binary)
+
+    @pytest.mark.parametrize("with_matrix", [False, True])
+    def test_repeated_model_id_rejected(self, tmp_path, tiny_binary, with_matrix):
+        p = write(
+            tmp_path / "meta.json",
+            '[{"model_id": "m1", "family": "x"}, {"model_id": "m2"},'
+            ' {"model_id": "m1", "family": "y"}]',
+        )
+        with pytest.raises(MatrixValidationError, match=r"meta\.json: duplicate model id: 'm1'"):
+            load_metadata(p, tiny_binary if with_matrix else None)
+
+    @pytest.mark.parametrize("model_id", ['["m1"]', '{"m": 1}', "1"])
+    def test_non_string_model_id_rejected_without_matrix(self, tmp_path, model_id):
+        p = write(tmp_path / "meta.json", f'[{{"model_id": {model_id}}}]')
+        with pytest.raises(MatrixValidationError, match="is not a string"):
+            load_metadata(p)
 
     def test_bad_date_rejected(self, tmp_path):
         p = write(tmp_path / "meta.json", '[{"model_id": "m1", "date": "03/01/2025"}]')

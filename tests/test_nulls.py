@@ -37,15 +37,23 @@ def binary_from(arr):
 
 
 def bootstrap_ed_ci_reference(m, iterations, seed, scheme, level=0.95):
-    """Per-resample loop: copy the resampled columns, skip a resample whose
-    task rows are all constant, and take ed_of_matrix of the rest."""
+    """Per-resample loop: copy the resampled columns, skip a resample with no
+    spectrum (under "model" every column constant, under "none" every cell
+    zero, otherwise every task row constant), and take ed_of_matrix of the
+    rest."""
     values = m.dense_values()
     eds = []
     for i in range(iterations):
         rng = np.random.default_rng((seed, i))
         idx = rng.integers(0, m.n_models, size=m.n_models)
         sub = values[:, idx]
-        if np.all(sub == sub[:, :1]):
+        if scheme == "model":
+            dead = np.all(sub == sub[0])
+        elif scheme == "none":
+            dead = not sub.any()
+        else:
+            dead = np.all(sub == sub[:, :1])
+        if dead:
             continue
         eds.append(ed_of_matrix(sub, scheme))
     if not eds:
@@ -134,8 +142,9 @@ class TestBootstrapCi:
         rng = np.random.default_rng(8)
         col = np.array([1.0, 0, 1, 0, 1, 1, 0])
         # One column differs from four equal ones (one of them with -0.0
-        # cells): about a third of the resamples are degenerate and skipped;
-        # under "none" an unskipped one would have ED 1, the others above 1.
+        # cells): about a third of the resamples hold only the equal ones,
+        # degenerate and skipped under "task" and "double"; under "model"
+        # and "none" they are rank one and scored with ED 1.
         one_off = np.column_stack([col, col, np.where(col == 0, -0.0, col), col, 1 - col])
         grids = {
             "tall": irt_k5.subset_models(irt_k5.model_ids[:25]),

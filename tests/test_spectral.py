@@ -318,14 +318,16 @@ class TestGramKernelAgainstSvd:
         np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-8, atol=1e-8 * top)
 
 
-def one_column_label(sub, scheme):
-    """Whether every column of ``sub`` carries one label: all columns equal,
-    under "double" all differing by constants, under "model" also all
-    constant."""
+def degenerate_subset(sub, scheme):
+    """Whether ``sub`` centered by ``scheme`` has no spectrum: all columns
+    equal under "task", all differing by constants under "double", every
+    column constant under "model" and every column zero under "none"."""
+    if scheme == "model":
+        return bool((sub == sub[0]).all())
+    if scheme == "none":
+        return not sub.any()
     cols = sub - sub[0] if scheme == "double" else sub
-    if (cols == cols[:, :1]).all():
-        return True
-    return scheme == "model" and bool((sub == sub[0]).all())
+    return bool((cols == cols[:, :1]).all())
 
 
 class TestColumnResampleEds:
@@ -347,7 +349,7 @@ class TestColumnResampleEds:
         assert got.shape == (len(subsets),)
         for ed, idx in zip(got, subsets):
             sub = x[:, idx]
-            if one_column_label(sub, scheme):
+            if degenerate_subset(sub, scheme):
                 assert math.isnan(ed)
             else:
                 assert math.isclose(ed, ed_of_matrix(sub, scheme), rel_tol=1e-9)
@@ -363,3 +365,13 @@ class TestColumnResampleEds:
         assert math.isnan(got[0])
         assert math.isclose(got[1], ed_of_matrix(x[:, [0, 2, 3]]), rel_tol=1e-9)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("scheme", ["model", "none"])
+    def test_equal_columns_keep_a_spectrum_under_per_column_centering(self, scheme):
+        # Model centering and no centering leave equal nonconstant columns
+        # rank one, with ED 1, where task centering would zero them.
+        x = np.random.default_rng(5).random((20, 6))
+        x[:, 1] = x[:, 0]
+        got = _column_resample_eds(x, [[0, 1, 0]], scheme)
+        assert math.isclose(got[0], ed_of_matrix(x[:, [0, 1, 0]], scheme), rel_tol=1e-9)
+        assert math.isclose(got[0], 1.0, rel_tol=1e-9)

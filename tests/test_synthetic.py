@@ -15,7 +15,7 @@ from spectradiag import (
     rank_recovery_report,
     tetrachoric_ed,
 )
-from spectradiag.association import _KENDALL_CHUNK_CELLS
+from spectradiag.association import _block_rows
 from spectradiag.synthetic import _logistic
 
 
@@ -164,7 +164,7 @@ class TestGenIrtBlocks:
         assert hashlib.sha256(gen_irt_matrix(spec).values.tobytes()).hexdigest() == digest
 
     def test_spec_spans_several_blocks(self):
-        rows = _KENDALL_CHUNK_CELLS // 4 // 400
+        rows = _block_rows(4 * 400)
         assert 700 > 4 * rows and 700 % rows
 
     def test_peak_below_1_5_grids(self):

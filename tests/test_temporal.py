@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spectradiag.association as association
 import spectradiag.temporal as temporal
 
 from spectradiag import (
@@ -23,7 +24,7 @@ from spectradiag import (
     sliding_window_ed,
     temporal_information_density,
 )
-from spectradiag.association import _KENDALL_CHUNK_CELLS
+from spectradiag.association import _block_rows
 from spectradiag.spectral import _column_resample_eds, _gram, _gram_ed, center
 from spectradiag.temporal import CohortComparison, _window_ed
 
@@ -191,7 +192,7 @@ class TestSlidingWindow:
         table = np.random.default_rng(14).integers(0, 41, size=(115, 4)) / 40.0
         table[:, 2] = 0.1
         suite = make_suite(table)
-        monkeypatch.setattr(temporal, "_KENDALL_CHUNK_CELLS", 3 * 4 * 25)
+        monkeypatch.setattr(association, "_CELL_BUDGET", 3 * 4 * 25)
         series = sliding_window_ed(suite, window=25, step=10, standardize=standardize)
         starts = range(0, 91, 10)
         assert series.x == tuple(float(s + 25) for s in starts)
@@ -559,7 +560,7 @@ class TestCohortCompare:
         s = make_suite(rng.integers(0, 5, size=(40, 3)) / 4.0)
         a, b = list(s.model_ids[:25]), list(s.model_ids[15:])
         sample = 2000
-        rows = _KENDALL_CHUNK_CELLS // (sample + 25 + 3 * 3)
+        rows = _block_rows(sample + 25 + 3 * 3)
         iterations = 3 * rows + rows // 2
         calls = []
         real = temporal._cohort_eds
