@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_io import ScoreMatrix, _write_csv_grid
+from .matrix_io import ScoreMatrix, _id_positions, _write_csv_grid
 from .spectral import participation_ratio
 
 _RHO_CLAMP = 0.999
@@ -74,6 +74,7 @@ class CorrMatrix:
         p = len(self.ids)
         if values.shape != (p, p):
             raise ValueError("correlation grid must be square and match ids")
+        _id_positions(self.ids, "series")
         # only NaN is undefined, so the range check rejects +-inf
         defined = ~np.isnan(values)
         if not np.array_equal(defined, defined.T):

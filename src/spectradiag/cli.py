@@ -39,6 +39,7 @@ from .composite import (
 from .matrix_io import (
     BinarizationPolicy,
     MatrixValidationError,
+    _parse_cells,
     _read_csv_grid,
     _write_csv_grid,
     binarize,
@@ -93,35 +94,39 @@ def _load_preprocessed(args) -> tuple:
     return m, steps
 
 
-def _read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read an ``x,<value>`` series: a header, then one numeric point per row."""
-    corner, x_ids, cols, values, missing, linenos = _read_csv_grid(path, "point", "column")
-    if not np.isnan(_floats([corner, *cols])).any():
+def _read_series_csv(path: str, increasing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read an ``x,<value>`` series: a header, then one numeric point per row.
+
+    x is a value under the grid's cell rule, not a row id, so repeats are
+    allowed; with ``increasing`` the first x not above the one before it is
+    rejected at its line.
+    """
+    corner, x_texts, cols, values, missing, linenos = _read_csv_grid(path, "point", "column")
+    header, _, bad = _parse_cells([corner, *cols])
+    if bad is None and not np.isnan(header).any():
         raise MatrixValidationError(f"{path}:1: expected a header row")
     if len(cols) != 1:
         raise MatrixValidationError(f"{path}:1: expected two columns, got {len(cols) + 1}")
-    x = _floats(x_ids)
-    bad = ~np.isfinite(x) | missing[:, 0]
-    if bad.any():
-        i = int(bad.argmax())
+    # x stops before its first non-numeric cell, so that point is x.size
+    x, _, bad = _parse_cells(x_texts)
+    x = np.array(x)
+    invalid = ~np.isfinite(x) | missing[: x.size, 0]
+    if invalid.any() or bad is not None:
+        i = int(invalid.argmax()) if invalid.any() else x.size
         raise MatrixValidationError(
-            f"{path}:{linenos[i]}: point {x_ids[i]!r} needs a numeric x and {cols[0]}"
+            f"{path}:{linenos[i]}: point {x_texts[i]!r} needs a numeric x and {cols[0]}"
         )
     if x.size < 2:
         raise MatrixValidationError(f"{path}: expected at least two points")
+    if increasing:
+        flat = np.flatnonzero(x[1:] <= x[:-1])
+        if flat.size:
+            i = int(flat[0]) + 1
+            raise MatrixValidationError(
+                f"{path}:{linenos[i]}: x must be strictly increasing, "
+                f"got {x_texts[i]!r} after {x_texts[i - 1]!r}"
+            )
     return x, values[:, 0]
-
-
-def _floats(texts) -> np.ndarray:
-    """Each text parsed as a float, NaN where it does not parse or is not
-    ASCII numeric syntax, the cell rule of ``_read_csv_grid``."""
-    out = []
-    for text in texts:
-        try:
-            out.append(float(text) if text.isascii() and "_" not in text else np.nan)
-        except ValueError:
-            out.append(np.nan)
-    return np.array(out)
 
 
 def cmd_ed(args) -> tuple[dict, dict, str]:
@@ -215,7 +220,7 @@ def cmd_compress(args) -> tuple[dict, dict, str]:
 
 
 def cmd_saturate(args) -> tuple[dict, dict, str]:
-    n, ed = _read_series_csv(args.points)
+    n, ed = _read_series_csv(args.points, increasing=False)
     fit = saturation_fit(np.column_stack([n, ed]))
     result = {**asdict(fit), "points": int(n.size)}
     note = f"ED_inf {fit.ed_inf:.2f}, half-saturation at n {fit.n_half:.1f}"
@@ -223,7 +228,7 @@ def cmd_saturate(args) -> tuple[dict, dict, str]:
 
 
 def cmd_trend(args) -> tuple[dict, dict, str]:
-    x, ed = _read_series_csv(args.series)
+    x, ed = _read_series_csv(args.series, increasing=True)
     if ed.size < 4:
         raise MatrixValidationError("trend test needs at least four series points")
     mk = mann_kendall(ed)
@@ -308,7 +313,7 @@ def _workflow_step2(s, thresholds):
 
 
 def _workflow_step3(series_path, thresholds):
-    x, ed = _read_series_csv(series_path)
+    _, ed = _read_series_csv(series_path, increasing=True)
     mk = mann_kendall(ed)
     declining = mk.tau < 0.0 and mk.p < thresholds["trend_alpha"]
     verdict = (
@@ -326,8 +331,7 @@ def _workflow_step3(series_path, thresholds):
 
 
 def _workflow_step4(s, candidates, thresholds):
-    suite_models = set(s.model_ids)
-    shared = [m for m in candidates.model_ids if m in suite_models]
+    shared = [m for m in candidates.model_ids if m in s._model_pos]
     if len(shared) < 3:
         raise MatrixValidationError(
             "candidates share fewer than three models with the suite"

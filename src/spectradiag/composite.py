@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import _block_rows, _blocks, _kendall_tau_b
-from .matrix_io import MatrixValidationError, _id_positions, _read_csv_grid
+from .matrix_io import MatrixValidationError, _id_positions, _positions, _read_csv_grid
 from .spectral import center, ed_of_matrix
 
 __all__ = [
@@ -63,21 +63,20 @@ class SuiteScores:
 
     @classmethod
     def _owning(
-        cls, model_ids, benchmark_ids, table: np.ndarray, model_pos=None
+        cls, model_ids, benchmark_ids, table: np.ndarray, model_pos=None, benchmark_pos=None
     ) -> "SuiteScores":
         """A suite over a C-order float64 table the package has just gathered,
         kept without copying; tables from callers go through the
-        constructor, which copies them once. ``model_pos`` is the model id
-        map of a parent suite with the same ``model_ids``, reused as is."""
+        constructor, which copies them once. Given id maps (a parent
+        suite's or the loader's) are kept as they are."""
         s = cls.__new__(cls)
         object.__setattr__(s, "model_ids", model_ids)
         object.__setattr__(s, "benchmark_ids", benchmark_ids)
-        s._adopt(table, model_pos)
+        s._adopt(table, model_pos, benchmark_pos)
         return s
 
-    def _adopt(self, table: np.ndarray, model_pos=None) -> None:
-        """Validate, freeze and keep ``table``, then build the id maps (the
-        model map only when no ``model_pos`` is given)."""
+    def _adopt(self, table: np.ndarray, model_pos=None, benchmark_pos=None) -> None:
+        """Validate, freeze and keep ``table``, then build the id maps not given."""
         if table.ndim != 2:
             raise ValueError("suite scores must be a 2-D models x benchmarks table")
         n, k = table.shape
@@ -89,10 +88,10 @@ class SuiteScores:
             raise ValueError("suite scores must be finite (preprocess missing cells)")
         table.flags.writeable = False
         # id -> position lookups for the subset methods; not dataclass fields
-        if model_pos is None:
-            model_pos = _id_positions(self.model_ids, "model")
+        model_pos = model_pos or _id_positions(self.model_ids, "model")
+        benchmark_pos = benchmark_pos or _id_positions(self.benchmark_ids, "benchmark")
         object.__setattr__(self, "_model_pos", model_pos)
-        object.__setattr__(self, "_benchmark_pos", _id_positions(self.benchmark_ids, "benchmark"))
+        object.__setattr__(self, "_benchmark_pos", benchmark_pos)
         object.__setattr__(self, "model_ids", tuple(self.model_ids))
         object.__setattr__(self, "benchmark_ids", tuple(self.benchmark_ids))
         object.__setattr__(self, "table", table)
@@ -110,7 +109,7 @@ class SuiteScores:
         return self.table.T
 
     def model_positions(self, model_ids) -> list[int]:
-        """Row positions of ``model_ids``; ``ValueError`` names an unknown id."""
+        """Row positions of ``model_ids``; ``MatrixValidationError`` names an unknown id."""
         return _positions(self._model_pos, model_ids, "model")
 
     def subset_benchmarks(self, benchmark_ids) -> "SuiteScores":
@@ -125,15 +124,9 @@ class SuiteScores:
     def subset_models(self, model_ids) -> "SuiteScores":
         idx = self.model_positions(model_ids)
         return SuiteScores._owning(
-            tuple(self.model_ids[i] for i in idx), self.benchmark_ids, self.table[idx]
+            tuple(self.model_ids[i] for i in idx), self.benchmark_ids, self.table[idx],
+            benchmark_pos=self._benchmark_pos,
         )
-
-
-def _positions(pos: dict, ids, kind: str) -> list[int]:
-    try:
-        return [pos[i] for i in ids]
-    except KeyError as exc:
-        raise ValueError(f"unknown {kind} id: {exc.args[0]!r}") from None
 
 
 def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
@@ -141,6 +134,8 @@ def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
     _, bench_ids, model_ids, values, missing, linenos = _read_csv_grid(
         path, "benchmark", "model"
     )
+    model_pos = _id_positions(model_ids, "model", path, [1] * len(model_ids))
+    bench_pos = _id_positions(bench_ids, "benchmark", path, linenos)
     if missing.any():
         r, c = np.argwhere(missing)[0]
         raise MatrixValidationError(
@@ -151,7 +146,9 @@ def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
         raise MatrixValidationError(
             f"{path}: needs at least {min_benchmarks} benchmark row(s)"
         )
-    return SuiteScores(tuple(model_ids), tuple(bench_ids), values.T)
+    return SuiteScores._owning(
+        tuple(model_ids), tuple(bench_ids), np.array(values.T, order="C"), model_pos, bench_pos
+    )
 
 
 def _zscore_columns(table: np.ndarray, benchmark_ids) -> np.ndarray:

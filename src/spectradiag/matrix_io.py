@@ -64,23 +64,25 @@ class ScoreMatrix:
                     self.kind, fold=False)
 
     @classmethod
-    def _owning(cls, task_ids, model_ids, values: np.ndarray, missing: np.ndarray, kind=None):
+    def _owning(cls, task_ids, model_ids, values: np.ndarray, missing: np.ndarray, kind=None,
+                task_pos=None, model_pos=None):
         """A matrix over a float64 grid and bool mask the package has just
-        made, kept without copying; non-finite cells join the mask and a
-        ``None`` kind is inferred. Arrays from callers go through
-        ``score_matrix`` or the constructor, which copy them once."""
+        made, kept without copying like any id maps given; non-finite cells
+        join the mask and a ``None`` kind is inferred. Arrays from callers go
+        through ``score_matrix`` or the constructor, which copy them once."""
         m = cls.__new__(cls)
         object.__setattr__(m, "task_ids", task_ids)
         object.__setattr__(m, "model_ids", model_ids)
-        m._adopt(values, missing, kind, fold=True)
+        m._adopt(values, missing, kind, fold=True, task_pos=task_pos, model_pos=model_pos)
         return m
 
-    def _adopt(self, values: np.ndarray, missing: np.ndarray, kind, fold: bool) -> None:
+    def _adopt(self, values: np.ndarray, missing: np.ndarray, kind, fold: bool,
+               task_pos=None, model_pos=None) -> None:
         """Validate, write NaN at the missing cells, freeze and keep both arrays.
 
         ``fold`` (the internal builders) adds non-finite cells to the mask and
         infers a ``None`` kind; the public constructor rejects both. Each
-        check is one pass over the grid.
+        check is one pass over the grid. An id map not given is built here.
         """
         task_ids = tuple(str(t) for t in self.task_ids)
         model_ids = tuple(str(m) for m in self.model_ids)
@@ -93,8 +95,8 @@ class ScoreMatrix:
             raise MatrixValidationError("need at least two model columns")
         if len(task_ids) != t or len(model_ids) != n:
             raise MatrixValidationError("id lists must match the grid shape")
-        task_pos = _id_positions(task_ids, "task")
-        model_pos = _id_positions(model_ids, "model")
+        task_pos = task_pos or _id_positions(task_ids, "task")
+        model_pos = model_pos or _id_positions(model_ids, "model")
         if missing.shape != values.shape:
             raise MatrixValidationError("missing mask must match the grid shape")
         if fold:
@@ -102,7 +104,7 @@ class ScoreMatrix:
         elif not (np.isfinite(values) | missing).all():
             raise MatrixValidationError("non-missing cells must be finite")
         values[missing] = np.nan
-        if not missing.all() and (np.nanmin(values) < 0.0 or np.nanmax(values) > 1.0):
+        if _outside_unit(values) is not None:
             raise MatrixValidationError("scores must lie in [0, 1]")
         if kind not in ("binary", "continuous") and not (fold and kind is None):
             raise MatrixValidationError(f"unknown kind: {kind!r}")
@@ -157,33 +159,29 @@ class ScoreMatrix:
         return self.values
 
     def task_index(self, task_id: str) -> int:
-        try:
-            return self._task_pos[task_id]
-        except KeyError:
-            raise KeyError(f"unknown task id: {task_id!r}") from None
+        return _positions(self._task_pos, [task_id], "task")[0]
 
     def model_index(self, model_id: str) -> int:
-        try:
-            return self._model_pos[model_id]
-        except KeyError:
-            raise KeyError(f"unknown model id: {model_id!r}") from None
+        return _positions(self._model_pos, [model_id], "model")[0]
 
     def subset_tasks(self, task_ids) -> "ScoreMatrix":
-        idx = [self.task_index(t) for t in task_ids]
+        idx = _positions(self._task_pos, task_ids, "task")
         return ScoreMatrix._owning(
             [self.task_ids[i] for i in idx],
             self.model_ids,
             self.values[idx],
             self.missing[idx],
+            model_pos=self._model_pos,
         )
 
     def subset_models(self, model_ids) -> "ScoreMatrix":
-        idx = [self.model_index(m) for m in model_ids]
+        idx = _positions(self._model_pos, model_ids, "model")
         return ScoreMatrix._owning(
             self.task_ids,
             [self.model_ids[j] for j in idx],
             self.values[:, idx],
             self.missing[:, idx],
+            task_pos=self._task_pos,
         )
 
 
@@ -192,13 +190,35 @@ def _zero_one(values: np.ndarray, missing: np.ndarray) -> bool:
     return bool(((values == 0.0) | (values == 1.0) | missing).all())
 
 
-def _id_positions(ids, kind: str) -> dict:
-    """id -> position; the first repeated id raises ``duplicate {kind} id``."""
+def _outside_unit(values: np.ndarray):
+    """``(row, column)`` of the first cell outside [0, 1] in row-major
+    order, or None; NaN cells are inside. One min and one max pass when
+    every cell is inside."""
+    if values.size and (
+        np.fmin.reduce(values, axis=None) < 0.0 or np.fmax.reduce(values, axis=None) > 1.0
+    ):
+        r, c = np.argwhere((values < 0.0) | (values > 1.0))[0]
+        return int(r), int(c)
+    return None
+
+
+def _id_positions(ids, kind: str, path=None, lines=None) -> dict:
+    """id -> position; the first repeated id raises ``duplicate {kind} id: 'x'``,
+    after ``{path}:{lines[p]}: `` (or ``{path}: ``) when read from a file."""
     pos: dict = {}
     for p, i in enumerate(ids):
         if pos.setdefault(i, p) != p:
-            raise MatrixValidationError(f"duplicate {kind} id: {i!r}")
+            where = "" if path is None else f"{path}: " if lines is None else f"{path}:{lines[p]}: "
+            raise MatrixValidationError(f"{where}duplicate {kind} id: {i!r}")
     return pos
+
+
+def _positions(pos: dict, ids, kind: str) -> list[int]:
+    """Positions of ``ids`` in ``pos``; the first miss raises ``unknown {kind} id: 'x'``."""
+    try:
+        return [pos[i] for i in ids]
+    except KeyError as exc:
+        raise MatrixValidationError(f"unknown {kind} id: {exc.args[0]!r}") from None
 
 
 def score_matrix(task_ids, model_ids, values, missing=None, kind=None) -> ScoreMatrix:
@@ -244,14 +264,26 @@ def load_matrix(path, format: str = "csv") -> ScoreMatrix:
     a boolean included, is rejected.
     """
     if format == "csv":
-        _, task_ids, model_ids, values, missing, _ = _read_csv_grid(path, "task", "model")
+        _, task_ids, model_ids, values, missing, lines = _read_csv_grid(path, "task", "model")
         if len(model_ids) < 2:
             raise MatrixValidationError(f"{path}:1: header needs at least two model columns")
     elif format == "json":
         task_ids, model_ids, values, missing = _read_json_matrix(path)
+        lines = None
     else:
         raise MatrixValidationError(f"unknown matrix format: {format!r}")
-    return ScoreMatrix._owning(task_ids, model_ids, values, missing)
+    model_pos = _id_positions(model_ids, "model", path, lines and [1] * len(model_ids))
+    task_pos = _id_positions(task_ids, "task", path, lines)
+    cell = _outside_unit(values)
+    if cell is not None:
+        r, c = cell
+        text = f"cell {float(values[r, c])!r} outside [0, 1]"
+        raise MatrixValidationError(
+            f"{path}:{lines[r]}: {text} for task {task_ids[r]!r}, model {model_ids[c]!r}"
+            if lines
+            else f"{path}: {text} at values index [{r}, {c}]"
+        )
+    return ScoreMatrix._owning(task_ids, model_ids, values, missing, None, task_pos, model_pos)
 
 
 def _read_csv_grid(path, row_kind: str, col_kind: str):
@@ -260,11 +292,10 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
 
     Returns ``(corner, row_ids, col_ids, values, missing, linenos)``, NaN at
     the missing cells. An empty file, a header without value columns, no
-    rows, a row with the wrong field count, a non-numeric or non-finite cell
-    and a duplicate row or column id raise with ``file:line``. A value cell
-    is ASCII numeric syntax: ``float()`` would also read ``_`` between digits
-    and non-ASCII digits and spaces, so a row whose value fields hold either
-    is scanned for the first such cell, which raises as non-numeric.
+    rows, a row with the wrong field count and a value cell that breaks the
+    ``_parse_cells`` rule or is non-finite raise with ``file:line``. Ids are
+    not checked here: the caller puts them through ``_id_positions`` with
+    ``linenos`` (the header is line 1).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -275,7 +306,6 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
         if len(header) < 2:
             raise MatrixValidationError(f"{path}:1: header needs at least one {col_kind} column")
         col_ids = header[1:]
-        _check_unique(path, col_ids, [1] * len(col_ids), col_kind)
         # Each parsed row goes straight into one grid and mask, grown by
         # doubling and trimmed at the end. ndarray.resize reallocates their
         # buffers, which no view shares (hence refcheck=False), so no
@@ -283,13 +313,6 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
         values = np.empty((1, len(col_ids)))
         missing = np.zeros((1, len(col_ids)), dtype=bool)
         row_ids, linenos = [], []
-
-        def bad_cell(text: str, col: int) -> MatrixValidationError:
-            return MatrixValidationError(
-                f"{path}:{lineno}: non-numeric cell {text!r} for "
-                f"{row_kind} {row_id!r}, {col_kind} {col_ids[col]!r}"
-            )
-
         for lineno, row in enumerate(reader, start=2):
             if not any(c.strip() for c in row):
                 continue
@@ -298,19 +321,13 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             row_id = row[0].strip()
-            text = "".join(row[1:])
-            if not text.isascii() or "_" in text:
-                col = next(c for c, v in enumerate(row[1:]) if not v.isascii() or "_" in v)
-                raise bad_cell(row[col + 1], col)
-            vals, gaps = [], []
-            for col, cell in enumerate(row[1:]):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    if cell.strip():
-                        raise bad_cell(cell.strip(), col) from None
-                    gaps.append(col)
-                    vals.append(np.nan)
+            vals, gaps, bad = _parse_cells(row[1:])
+            if bad is not None:
+                col, text = bad
+                raise MatrixValidationError(
+                    f"{path}:{lineno}: non-numeric cell {text!r} for "
+                    f"{row_kind} {row_id!r}, {col_kind} {col_ids[col]!r}"
+                )
             r = len(row_ids)
             if r == len(values):
                 values.resize((2 * r, len(col_ids)), refcheck=False)
@@ -321,7 +338,6 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
             linenos.append(lineno)
     if not row_ids:
         raise MatrixValidationError(f"{path}:1: no {row_kind} rows after the header")
-    _check_unique(path, row_ids, linenos, row_kind)
     values.resize((len(row_ids), len(col_ids)), refcheck=False)
     missing.resize((len(row_ids), len(col_ids)), refcheck=False)
     ok = np.isfinite(values) | missing
@@ -334,12 +350,33 @@ def _read_csv_grid(path, row_kind: str, col_kind: str):
     return header[0], row_ids, col_ids, values, missing, linenos
 
 
-def _check_unique(path, ids: list[str], linenos: list[int], kind: str) -> None:
-    seen: set[str] = set()
-    for i, lineno in zip(ids, linenos):
-        if i in seen:
-            raise MatrixValidationError(f"{path}:{lineno}: duplicate {kind} id {i!r}")
-        seen.add(i)
+def _parse_cells(cells: list[str]):
+    """``(values, gaps, bad)`` of a row's CSV value cells, the cell rule of
+    every grid and series file.
+
+    ``values`` holds each cell's float, NaN at the empty cells, whose
+    positions are ``gaps``. A value cell is ASCII numeric syntax: ``float()``
+    would also read ``_`` between digits and non-ASCII digits and spaces, so
+    a row whose joined cells hold either is scanned for the first such cell,
+    and only the cells before it are parsed. ``bad`` is ``(position, text)``
+    of the first cell that breaks the rule, and then ``values`` stops
+    before it; otherwise ``bad`` is None.
+    """
+    text = "".join(cells)
+    if not text.isascii() or "_" in text:
+        stop = next(c for c, v in enumerate(cells) if not v.isascii() or "_" in v)
+        vals, gaps, bad = _parse_cells(cells[:stop])
+        return vals, gaps, bad or (stop, cells[stop])
+    vals, gaps = [], []
+    for col, cell in enumerate(cells):
+        try:
+            vals.append(float(cell))
+        except ValueError:
+            if cell.strip():
+                return vals, gaps, (col, cell.strip())
+            gaps.append(col)
+            vals.append(np.nan)
+    return vals, gaps, None
 
 
 def _write_csv_grid(path, corner: str, row_ids, col_ids, values) -> None:
@@ -383,7 +420,9 @@ def _read_json_matrix(path):
         raise MatrixValidationError(
             f"{path}: expected keys task_ids, model_ids, values"
         ) from None
-    return (task_ids, model_ids, *_json_grid(path, raw))
+    values, missing = _json_grid(path, raw)
+    # a matrix keeps its ids as strings, so its id maps are built over these
+    return [str(t) for t in task_ids], [str(m) for m in model_ids], values, missing
 
 
 def _json_grid(path, raw) -> tuple[np.ndarray, np.ndarray]:
@@ -509,10 +548,7 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
                 labels={str(k): bool(v) for k, v in (rec.get("labels") or {}).items()},
             )
         )
-    try:
-        _id_positions([meta.model_id for meta in metas], "model")
-    except MatrixValidationError as exc:
-        raise MatrixValidationError(f"{path}: {exc}") from None
+    _id_positions([meta.model_id for meta in metas], "model", path)
     return metas
 
 
@@ -521,7 +557,8 @@ def binarize(m: ScoreMatrix, policy: BinarizationPolicy | None = None) -> ScoreM
     policy = policy or BinarizationPolicy()
     # NaN compares False; _adopt writes NaN back at the missing cells
     values = (m.values > policy.threshold).astype(float)
-    return ScoreMatrix._owning(m.task_ids, m.model_ids, values, m.missing.copy(), "binary")
+    return ScoreMatrix._owning(m.task_ids, m.model_ids, values, m.missing.copy(), "binary",
+                               m._task_pos, m._model_pos)
 
 
 def impute_missing(m: ScoreMatrix) -> ScoreMatrix:
@@ -535,7 +572,8 @@ def impute_missing(m: ScoreMatrix) -> ScoreMatrix:
             raise MatrixValidationError(f"model {model!r} has no observed scores")
         if col_missing.any():
             values[col_missing, j] = values[~col_missing, j].mean()
-    return ScoreMatrix._owning(m.task_ids, m.model_ids, values, np.zeros_like(m.missing))
+    return ScoreMatrix._owning(m.task_ids, m.model_ids, values, np.zeros_like(m.missing), None,
+                               m._task_pos, m._model_pos)
 
 
 def drop_degenerate_tasks(m: ScoreMatrix) -> tuple[ScoreMatrix, list[str]]:
@@ -550,5 +588,6 @@ def drop_degenerate_tasks(m: ScoreMatrix) -> tuple[ScoreMatrix, list[str]]:
         m.model_ids,
         values[keep],
         np.zeros((int(keep.sum()), m.n_models), dtype=bool),
+        model_pos=m._model_pos,
     )
     return kept, dropped

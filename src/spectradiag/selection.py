@@ -21,7 +21,7 @@ import numpy as np
 
 from .association import _kendall_tau_b
 from .composite import _best_first
-from .matrix_io import ScoreMatrix
+from .matrix_io import ScoreMatrix, _id_positions, _positions
 from .spectral import center
 
 SELECTION_METHODS = (
@@ -65,8 +65,7 @@ class SelectionResult:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if len(set(self.selected)) != len(self.selected):
-            raise ValueError("selected task ids must be unique")
+        _id_positions(self.selected, "task")
         if len(self.ed_trajectory) != len(self.selected):
             raise ValueError("trajectory length must match the selection size")
 
@@ -369,7 +368,7 @@ def ranking_fidelity(m: ScoreMatrix, selected) -> float:
     One O(T N) pass for the means, then one O(N log N) tau-b.
     """
     values = m.dense_values()
-    idx = [m.task_index(t) for t in selected]
+    idx = _positions(m._task_pos, selected, "task")
     if not idx:
         raise ValueError("selection is empty")
     sub_means = values[idx].mean(axis=0)

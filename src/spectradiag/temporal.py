@@ -32,7 +32,7 @@ import numpy as np
 
 from .association import _blocks, _dense_ranks, _inversions
 from .composite import SuiteScores
-from .matrix_io import ScoreMatrix, _write_csv_grid
+from .matrix_io import ScoreMatrix, _positions, _write_csv_grid
 from .spectral import _column_resample_eds, _gram, _gram_ed, _sums_ed, center
 
 __all__ = [
@@ -293,8 +293,8 @@ def fixed_variance_subset(
 ) -> list[str]:
     """Tasks whose variance moves less than ``tol`` (relative) between cohorts;
     the early-cohort variance is floored at 1e-9 in the denominator."""
-    early = [m.model_index(i) for i in early_ids]
-    late = [m.model_index(i) for i in late_ids]
+    early = _positions(m._model_pos, early_ids, "model")
+    late = _positions(m._model_pos, late_ids, "model")
     if not early or not late:
         raise ValueError("both cohorts must be nonempty")
     values = m.dense_values()
@@ -411,8 +411,8 @@ def diversity_insertion_probe(
     cohort increases ED."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    late = [m.model_index(i) for i in late_ids]
-    early = [m.model_index(i) for i in early_ids]
+    late = _positions(m._model_pos, late_ids, "model")
+    early = _positions(m._model_pos, early_ids, "model")
     if not late or not early:
         raise ValueError("both cohorts must be nonempty")
     picks = [int(np.random.default_rng((seed, i)).choice(early)) for i in range(trials)]

@@ -21,7 +21,7 @@ from spectradiag import (
     tetrachoric_ed,
 )
 import spectradiag.association as association
-from spectradiag.association import save_corr_csv, tetrachoric_matrix
+from spectradiag.association import CorrMatrix, save_corr_csv, tetrachoric_matrix
 from spectradiag.matrix_io import _read_csv_grid
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -663,6 +663,15 @@ class TestTetrachoricEd:
 
 
 class TestClustering:
+    def test_duplicate_series_id_rejected(self):
+        """A repeated id would merge two members into one group."""
+        values = [[1, 0.2, 0.9], [0.2, 1, 0.1], [0.9, 0.1, 1]]
+        with pytest.raises(ValueError, match="^duplicate series id: 'a'$"):
+            CorrMatrix(("a", "a", "b"), values, "pearson")
+        rows = np.random.default_rng(0).standard_normal((3, 8))
+        with pytest.raises(ValueError, match="^duplicate series id: 'x'$"):
+            pairwise_correlation(rows, ids=["x", "x", "y"])
+
     def test_identical_series_merge_first_at_zero(self):
         base = np.array([1.0, 2, 3, 4, 1])
         rows = np.vstack([base, base, base[::-1] * 0.5])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,12 @@ import pytest
 from spectradiag import ed_of_matrix, impute_missing, load_matrix
 from spectradiag.cli import _DIGEST_BLOCK, _build_parser, _digest, main
 from spectradiag.matrix_io import _read_csv_grid
-from spectradiag.temporal import EdSeries, mann_kendall, temporal_information_density
+from spectradiag.temporal import (
+    EdSeries,
+    mann_kendall,
+    saturation_fit,
+    temporal_information_density,
+)
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +42,24 @@ def run(capsys, *argv):
 
 
 class TestEdCommand:
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("m.csv", "task_id,a,b\nt1,0,1\nt2,1.5,0\n",
+             "m.csv:3: cell 1.5 outside [0, 1] for task 't2', model 'a'"),
+            ("m.json", '{"task_ids": ["t1", "t2"], "model_ids": ["a", "b"], '
+             '"values": [[0, 1], [1.5, 0]]}',
+             "m.json: cell 1.5 outside [0, 1] at values index [1, 0]"),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_out_of_range_cell_located(self, capsys, tmp_path, name, text, where):
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "ed", "--matrix", p, "--format", name[2:])
+        assert (code, out) == (2, "")
+        assert where in err
+
     def test_matches_library_value(self, capsys, toy_matrix):
         code, out, err = run(capsys, "ed", "--matrix", toy_matrix, "--bootstrap-iters", "0")
         assert code == 0
@@ -365,6 +389,13 @@ class TestCorrAndSuite:
 
 
 class TestWorkflow:
+    def test_ed_series_out_of_order_exits_2_at_its_line(self, capsys, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("x,ed\n1,3.0\n3,2.8\n2,2.5\n4,2.1\n5,2.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "workflow", "--ed-series", series)
+        assert (code, out) == (2, "")
+        assert "series.csv:4: x must be strictly increasing, got '2' after '3'" in err
+
     def test_full_run_flags_exactly_clone_pair(self, capsys, tmp_path):
         series = tmp_path / "series.csv"
         series.write_text(
@@ -498,6 +529,17 @@ class TestTrendAndSaturate:
         assert abs(payload["ed_inf"] - 35.4) / 35.4 < 0.01
         assert abs(payload["n_half"] - 35.0) / 35.0 < 0.01
 
+    def test_saturate_takes_repeated_n_in_any_order(self, capsys, tmp_path):
+        """n is a value, not a row id: the fit sees the points as written."""
+        points = [(40.0, 18.1), (20.0, 12.0), (40.0, 17.6), (80.0, 24.0), (20.0, 12.4)]
+        p = tmp_path / "pts.csv"
+        p.write_text("n,ed\n" + "".join(f"{n:g},{ed}\n" for n, ed in points), encoding="utf-8")
+        code, out, _ = run(capsys, "saturate", "--points", p)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result.pop("points") == len(points)
+        assert result == asdict(saturation_fit(np.array(points)))
+
     def test_saturate_rejection_exit_1(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("n,ed\n10,5\n20,-3\n30,6\n", encoding="utf-8")
@@ -550,6 +592,8 @@ SERIES_DEFECTS = {
     "one-field row": ("x,ed\n1,3.0\n2,2.8\n3\n4,2.1\n", 4),
     "missing value": ("x,ed\n1,3.0\n2,\n3,2.5\n4,2.1\n", 3),
     "headerless": ("1,3.0\n2,2.8\n3,2.5\n4,2.1\n", 1),
+    "x out of order": ("x,ed\n1,3.0\n3,2.8\n2,2.5\n4,2.1\n5,2.0\n", 4),
+    "repeated x": ("x,ed\n1,3.0\n2,2.8\n\n2.0,2.5\n4,2.1\n", 5),
 }
 
 

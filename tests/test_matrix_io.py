@@ -78,6 +78,33 @@ class TestLoad:
         with pytest.raises(MatrixValidationError, match=r"\[0, 1\]"):
             load_matrix(p)
 
+    def test_out_of_range_cell_located(self, tmp_path):
+        p = write(tmp_path / "m.csv", "task_id,a,b\nt1,0.5,0\n\nt2,0,-0.25\nt3,2,1\n")
+        rule = r"m\.csv:4: cell -0\.25 outside \[0, 1\] for task 't2', model 'b'$"
+        with pytest.raises(MatrixValidationError, match=rule):
+            load_matrix(p)
+        p = write(tmp_path / "m.json", json.dumps(
+            {"task_ids": ["t1", "t2"], "model_ids": ["a", "b"], "values": [[0, None], [1.5, 0]]}
+        ))
+        rule = r"m\.json: cell 1\.5 outside \[0, 1\] at values index \[1, 0\]$"
+        with pytest.raises(MatrixValidationError, match=rule):
+            load_matrix(p, format="json")
+
+    def test_duplicate_ids_worded_as_in_memory_with_file_line(self, tmp_path):
+        with pytest.raises(MatrixValidationError, match="^duplicate model id: 'a'$"):
+            score_matrix(["t1"], ["a", "a"], [[1, 0]])
+        p = write(tmp_path / "m.csv", "task_id,a,a\nt1,1,0\n")
+        with pytest.raises(MatrixValidationError, match=r"m\.csv:1: duplicate model id: 'a'$"):
+            load_matrix(p)
+        p = write(tmp_path / "m.csv", "task_id,a,b\nt1,1,0\n\nt2,0,1\nt1,1,1\n")
+        with pytest.raises(MatrixValidationError, match=r"m\.csv:5: duplicate task id: 't1'$"):
+            load_matrix(p)
+        p = write(tmp_path / "m.json", json.dumps(
+            {"task_ids": ["t1", "t1"], "model_ids": ["a", "b"], "values": [[0, 1], [1, 0]]}
+        ))
+        with pytest.raises(MatrixValidationError, match=r"m\.json: duplicate task id: 't1'$"):
+            load_matrix(p, format="json")
+
     def test_json_roundtrip(self, tmp_path, tiny_continuous):
         p = tmp_path / "m.json"
         save_matrix(tiny_continuous, p, format="json")
@@ -346,6 +373,13 @@ def load_json_reference(path):
     bad = np.argwhere(~(np.isfinite(values) | missing))
     if bad.size:
         raise MatrixValidationError(f"{path}: non-finite cell at values index {bad[0].tolist()}")
+    # the range check names its cell and comes before the shape checks
+    bad = np.argwhere((values < 0.0) | (values > 1.0))
+    if bad.size:
+        cell = float(values[tuple(bad[0])])
+        raise MatrixValidationError(
+            f"{path}: cell {cell!r} outside [0, 1] at values index {bad[0].tolist()}"
+        )
     return score_matrix(task_ids, model_ids, values, missing)
 
 
@@ -807,3 +841,26 @@ class TestSubsets:
     def test_subset_tasks(self, tiny_binary):
         sub = tiny_binary.subset_tasks(["t2"])
         assert sub.task_ids == ("t2",)
+
+    def test_unknown_ids_raise_the_grid_error(self, tiny_binary):
+        for lookup, kind in [
+            (tiny_binary.task_index, "task"),
+            (tiny_binary.model_index, "model"),
+            (lambda i: tiny_binary.subset_tasks(["t1", i]), "task"),
+            (lambda i: tiny_binary.subset_models([i]), "model"),
+        ]:
+            with pytest.raises(MatrixValidationError, match=f"^unknown {kind} id: 'zz'$"):
+                lookup("zz")
+
+    def test_derived_grids_reuse_the_id_maps(self):
+        m = score_matrix(
+            ["t1", "t2", "t3"], ["m1", "m2", "m3"],
+            [[0.9, 0.2, np.nan], [0.1, 0.8, 0.6], [0.5, 0.5, 0.5]],
+        )
+        for derived in (binarize(m), impute_missing(m)):
+            assert derived._task_pos is m._task_pos and derived._model_pos is m._model_pos
+        assert m.subset_models(["m3", "m1"])._task_pos is m._task_pos
+        assert m.subset_tasks(["t3", "t1"])._model_pos is m._model_pos
+        kept, dropped = drop_degenerate_tasks(impute_missing(m))
+        assert dropped == ["t3"] and kept._model_pos is m._model_pos
+        assert kept.task_index("t2") == 1 and m.subset_models(["m3", "m1"]).model_index("m1") == 1
