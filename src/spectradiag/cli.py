@@ -408,6 +408,18 @@ def cmd_workflow(args) -> tuple[dict, dict, str]:
     return inputs, result, "\n".join(notes)
 
 
+def _at_least(low: int):
+    """argparse type: an integer count no smaller than ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectradiag",
@@ -436,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ed", help="effective dimensionality report")
     matrix_args(p)
     p.add_argument("--centering", choices=CENTERING_SCHEMES, default="task")
-    p.add_argument("--bootstrap-iters", type=int, default=1000)
+    p.add_argument("--bootstrap-iters", type=_at_least(0), default=1000)
     seeded(p)
     p.set_defaults(func=cmd_ed)
 
@@ -453,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ceiling", help="two-benchmark composite correlation ceiling")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--grid", type=int, default=10_001)
+    p.add_argument("--grid", type=_at_least(1), default=10_001)
     common(p)
     p.set_defaults(func=cmd_ceiling)
 
@@ -509,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument(
-        "--samples", type=int, default=0, help="Dirichlet fragility samples (0 = skip)"
+        "--samples", type=_at_least(0), default=0, help="Dirichlet fragility samples (0 = skip)"
     )
     seeded(p)
     p.set_defaults(func=cmd_suite)

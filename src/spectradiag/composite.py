@@ -25,7 +25,7 @@ import numpy as np
 
 from .association import _block_rows, _blocks, _kendall_tau_b
 from .matrix_io import MatrixValidationError, _id_positions, _positions, _read_csv_grid
-from .spectral import center, ed_of_matrix
+from .spectral import _zscore_columns, ed_of_matrix
 
 __all__ = [
     "CeilingProbe",
@@ -151,18 +151,6 @@ def load_suite(path, min_benchmarks: int = 2) -> SuiteScores:
     )
 
 
-def _zscore_columns(table: np.ndarray, benchmark_ids) -> np.ndarray:
-    # column by column, so any column subset of a suite's z equals the z of
-    # that sub-suite bit for bit; a constant benchmark centers to exact
-    # zeros, so its std is exactly 0
-    z = center(np.ascontiguousarray(table), "model")
-    std = np.sqrt((z * z).sum(axis=0) / z.shape[0])
-    if not std.all():
-        raise ValueError(f"benchmark {benchmark_ids[int(np.argmin(std))]!r} has zero variance")
-    z /= std
-    return z
-
-
 def suite_ed(s: SuiteScores) -> float:
     """ED of the standardized benchmarks x models table."""
     z = _zscore_columns(s.table, s.benchmark_ids)
@@ -240,6 +228,8 @@ def ceiling_oracle(rho: float, grid: int = 10_001) -> CeilingProbe:
     """
     if not -1.0 < rho <= 1.0:
         raise ValueError("pairwise correlation must lie in (-1, 1]")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     t = np.logspace(-3.0, 3.0, grid)
     denom = np.sqrt(1.0 + t * t + 2.0 * t * rho)
     r1 = (1.0 + t * rho) / denom

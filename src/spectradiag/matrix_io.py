@@ -213,12 +213,14 @@ def _id_positions(ids, kind: str, path=None, lines=None) -> dict:
     return pos
 
 
-def _positions(pos: dict, ids, kind: str) -> list[int]:
-    """Positions of ``ids`` in ``pos``; the first miss raises ``unknown {kind} id: 'x'``."""
+def _positions(pos: dict, ids, kind: str, path=None) -> list[int]:
+    """Positions of ``ids`` in ``pos``; the first miss raises ``unknown {kind}
+    id: 'x'``, after ``{path}: `` when read from a file."""
     try:
         return [pos[i] for i in ids]
     except KeyError as exc:
-        raise MatrixValidationError(f"unknown {kind} id: {exc.args[0]!r}") from None
+        where = "" if path is None else f"{path}: "
+        raise MatrixValidationError(f"{where}unknown {kind} id: {exc.args[0]!r}") from None
 
 
 def score_matrix(task_ids, model_ids, values, missing=None, kind=None) -> ScoreMatrix:
@@ -420,6 +422,9 @@ def _read_json_matrix(path):
         raise MatrixValidationError(
             f"{path}: expected keys task_ids, model_ids, values"
         ) from None
+    for key, ids in (("task_ids", task_ids), ("model_ids", model_ids)):
+        if not isinstance(ids, list):
+            raise MatrixValidationError(f"{path}: {key} must be a JSON array")
     values, missing = _json_grid(path, raw)
     # a matrix keeps its ids as strings, so its id maps are built over these
     return [str(t) for t in task_ids], [str(m) for m in model_ids], values, missing
@@ -525,13 +530,10 @@ def load_metadata(path, matrix: ScoreMatrix | None = None) -> list[ModelMeta]:
         model_id = rec.get("model_id")
         if not model_id:
             raise MatrixValidationError(f"{path}: metadata record without model_id")
-        # a matrix holds string ids; a JSON list or object would not hash
-        if matrix is not None and not (type(model_id) is str and model_id in matrix._model_pos):
-            raise MatrixValidationError(
-                f"{path}: metadata model {model_id!r} not present in matrix"
-            )
         if type(model_id) is not str:
             raise MatrixValidationError(f"{path}: metadata model {model_id!r} is not a string")
+        if matrix is not None:
+            _positions(matrix._model_pos, [model_id], "model", path)
         date = rec.get("date")
         try:
             parsed_date = datetime.date.fromisoformat(date) if date else None

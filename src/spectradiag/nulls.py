@@ -8,8 +8,10 @@ factor-retention estimators used as cross-checks.
 The bootstrap scores its resamples through ``spectral._column_resample_eds``,
 which takes every resample's ED from one QR factor of the centered grid, so
 the per-resample cost does not grow with T once T > N. The permutation and
-parallel-analysis nulls shuffle the whole grid in one ``Generator.permuted``
-call per replicate, into a buffer reused across replicates.
+parallel-analysis nulls draw every replicate from one loop, :func:`_shuffled`
+(rows shuffled under the ``(seed, r)`` stream into one reused buffer; columns
+as rows of the transpose). The column null centers with :func:`spectral.center`
+and parallel analysis standardizes with :func:`spectral._zscore_columns`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .spectral import (
     _column_resample_eds,
     _gram,
     _gram_ed,
+    _zscore_columns,
     center,
     ed_of_matrix,
     principal_components,
@@ -98,6 +101,15 @@ def _variance_fractions(xc: np.ndarray) -> np.ndarray:
     return lam / total
 
 
+def _shuffled(rows: np.ndarray, seed: int, replicates: int):
+    """Yield ``rows`` with every row shuffled, replicate r under the
+    ``(seed, r)`` stream; each yield reuses one buffer, overwriting the last."""
+    buf = np.empty_like(rows)
+    for r in range(replicates):
+        np.random.default_rng((seed, r)).permuted(rows, axis=1, out=buf)
+        yield buf
+
+
 def permutation_null(
     m: ScoreMatrix,
     replicates: int = 100,
@@ -108,9 +120,9 @@ def permutation_null(
 
     ``axis="rows"`` (default) permutes each task row across model columns,
     preserving per-task difficulty marginals; ``axis="columns"`` permutes
-    within model columns instead. Each replicate shuffles the whole grid in
-    one ``Generator.permuted`` call into a buffer reused across replicates;
-    a row shuffle keeps the task means, so that axis centers only once.
+    within model columns instead, as rows of the C-order transpose (the draws
+    equal ``permuted(values, axis=0)``'s), each replicate centered as a C-order
+    T x N grid. A row shuffle keeps the task means, so that axis centers once.
     """
     if replicates < 2:
         raise ValueError("need at least two replicates")
@@ -118,18 +130,11 @@ def permutation_null(
         raise ValueError(f"axis must be 'rows' or 'columns', got {axis!r}")
     values = m.dense_values()
     if axis == "rows":
-        values = center(values)
-    shuffled = np.empty_like(values)
-    fractions = np.empty((replicates, min(values.shape)))
-    for r in range(replicates):
-        rng = np.random.default_rng((seed, r))
-        if axis == "rows":
-            rng.permuted(values, axis=1, out=shuffled)
-        else:
-            rng.permuted(values, axis=0, out=shuffled)
-            shuffled -= shuffled.mean(axis=1, keepdims=True)
-        fractions[r] = _variance_fractions(shuffled)
-    band = np.percentile(fractions, 95.0, axis=0)
+        draws = _shuffled(center(values), seed, replicates)
+    else:
+        shuffles = _shuffled(values.T.copy(), seed, replicates)
+        draws = (center(np.ascontiguousarray(g.T)) for g in shuffles)
+    band = np.percentile([_variance_fractions(g) for g in draws], 95.0, axis=0)
     return NullSpectrumBand(band=band, replicates=replicates, seed=seed)
 
 
@@ -272,20 +277,13 @@ def _parallel_analysis_null(values: np.ndarray, seed: int, replicates: int) -> n
 
     A within-column shuffle keeps each column's mean and spread, so the grid
     is standardized once to Z and each replicate's correlation matrix is
-    Zp^T Zp / T for the shuffled Zp, written into one reused buffer. Z is
-    held as a C-contiguous N x T array, so each column is shuffled in place
-    as one contiguous row; the draws equal ``permuted(Z, axis=0)``'s.
+    Zp^T Zp / T for the shuffled Zp. Z is held as a C-contiguous N x T array,
+    so each column is shuffled as one contiguous row; the draws equal
+    ``permuted(Z, axis=0)``'s.
     """
-    zt = np.array(values.T, order="C")
-    zt -= values.mean(axis=0)[:, None]
-    zt /= values.std(axis=0)[:, None]
-    shuffled = np.empty_like(zt)
-    eigs = np.empty((replicates, zt.shape[0]))
-    for r in range(replicates):
-        rng = np.random.default_rng((seed, r))
-        rng.permuted(zt, axis=1, out=shuffled)
-        eigs[r] = np.linalg.eigvalsh(shuffled @ shuffled.T / zt.shape[1])[::-1]
-    return eigs
+    zt = _zscore_columns(values, range(values.shape[1]), "model").T.copy()
+    draws = _shuffled(zt, seed, replicates)
+    return np.array([np.linalg.eigvalsh(g @ g.T / zt.shape[1])[::-1] for g in draws])
 
 
 def alternative_estimators(
@@ -299,7 +297,7 @@ def alternative_estimators(
     first failure; Kaiser counts eigenvalues above one; var80/var90 count
     components needed to reach the cumulative-variance threshold. Each
     parallel-analysis replicate shuffles every column of the standardized
-    grid in one ``Generator.permuted`` call.
+    grid in one ``Generator.permuted`` call, through :func:`_shuffled`.
     """
     values = m.dense_values()
     eig = _model_correlation_eigenvalues(values)
@@ -338,6 +336,8 @@ def build_ed_report(
     columns are available or iterations is zero. ED and PC1% come from one
     Gram matrix of the centered grid, so ``ed`` is :func:`ed_of_matrix`'s.
     """
+    if bootstrap_iterations < 0:
+        raise ValueError(f"bootstrap iterations must be at least 0, got {bootstrap_iterations}")
     gram = _gram(center(m.dense_values(), scheme))
     ed = float(_gram_ed(gram))
     null = mp_null_ed(m.n_tasks, m.n_models)

@@ -105,6 +105,18 @@ def center(m, scheme: str = "task") -> np.ndarray:
     return out
 
 
+def _zscore_columns(table: np.ndarray, ids, kind: str = "benchmark") -> np.ndarray:
+    """Each column of ``table`` centered and divided by its root mean square,
+    on its own, so a column subset's z is that subset's z bit for bit; a
+    constant column centers to exact zeros and raises with its id."""
+    z = center(np.ascontiguousarray(table), "model")
+    std = np.sqrt((z * z).sum(axis=0) / z.shape[0])
+    if not std.all():
+        raise ValueError(f"{kind} {ids[int(np.argmin(std))]!r} has zero variance")
+    z /= std
+    return z
+
+
 def _gram(x: np.ndarray) -> np.ndarray:
     """Gram matrix of ``x`` on its smaller side: min(T, N) square, for each
     grid of a (..., T, N) stack."""

@@ -74,7 +74,7 @@ def _window_ed(blocks: np.ndarray, standardize: bool) -> np.ndarray:
     """Suite ED of each benchmarks x models block of a (..., k, w) stack.
 
     With ``standardize`` each centered benchmark row is divided by its root
-    mean square, its z-score within the block as in ``_zscore_columns``.
+    mean square, its z-score within the block as in ``spectral._zscore_columns``.
     A row whose values are all equal contributes nothing either way:
     :func:`center` sets it to exactly zero.
     """

@@ -132,6 +132,24 @@ class TestEdCommand:
         assert out == ""
         assert str(p) in err
 
+    @pytest.mark.parametrize(
+        "ids, where",
+        [
+            ('"task_ids": 5, "model_ids": ["a", "b"]', "m.json: task_ids must be a JSON array"),
+            ('"task_ids": "t", "model_ids": "ab"', "m.json: task_ids must be a JSON array"),
+            ('"task_ids": ["t"], "model_ids": {"a": 1}', "m.json: model_ids must be a JSON array"),
+        ],
+        ids=["int", "strings", "object"],
+    )
+    def test_json_ids_not_arrays_exit_2(self, capsys, tmp_path, ids, where):
+        p = tmp_path / "m.json"
+        p.write_text(f'{{{ids}, "values": [[0, 1]]}}', encoding="utf-8")
+        code, out, err = run(
+            capsys, "ed", "--matrix", p, "--format", "json", "--bootstrap-iters", "0"
+        )
+        assert (code, out) == (2, "")
+        assert where in err
+
     def test_out_of_range_json_integer_exit_2_names_index(self, capsys, tmp_path):
         p = tmp_path / "big.json"
         p.write_text(
@@ -226,6 +244,37 @@ class TestSeedFlag:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
         assert json.loads(out1)["seed"] == 7
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("ed", "--bootstrap-iters", "-5"), "--bootstrap-iters: must be at least 0, got -5"),
+            (("suite", "--suite", DATA / "toy_suite.csv", "--samples", "-4"),
+             "--samples: must be at least 0, got -4"),
+            (("ceiling", "--rho", "0.5", "--grid", "0"), "--grid: must be at least 1, got 0"),
+            (("ceiling", "--rho", "0.5", "--grid", "-3"), "--grid: must be at least 1, got -3"),
+        ],
+        ids=["bootstrap-iters", "samples", "grid-0", "grid-negative"],
+    )
+    def test_out_of_range_count_exit_2(self, capsys, toy_matrix, argv, flag):
+        if argv[0] == "ed":
+            argv = (*argv, "--matrix", toy_matrix)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_samples_skips_fragility(self, capsys):
+        code, out, _ = run(capsys, "suite", "--suite", DATA / "toy_suite.csv", "--samples", "0")
+        assert code == 0
+        assert "fragility" not in json.loads(out)["result"]
+
+    def test_single_point_grid_accepted(self, capsys):
+        code, out, _ = run(capsys, "ceiling", "--rho", "0.5", "--grid", "1")
+        assert code == 0
+        assert json.loads(out)["result"]["oracle_t_star"] == 0.001
 
 
 # One successful invocation per subcommand, given the toy matrix, the toy

@@ -228,6 +228,11 @@ class TestCeiling:
         assert abs(probe.value - composite_ceiling(rho)) < 1e-3
         assert 0.99 <= probe.t_star <= 1.01
 
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_oracle_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
+            ceiling_oracle(0.5, grid=grid)
+
 
 class TestFragility:
     def test_single_benchmark_never_changes(self):

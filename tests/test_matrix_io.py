@@ -791,13 +791,13 @@ class TestMetadata:
 
     def test_unknown_model_rejected(self, tmp_path, tiny_binary):
         p = write(tmp_path / "meta.json", '[{"model_id": "ghost"}]')
-        with pytest.raises(MatrixValidationError, match="ghost"):
+        with pytest.raises(MatrixValidationError, match=r"meta\.json: unknown model id: 'ghost'"):
             load_metadata(p, tiny_binary)
 
     @pytest.mark.parametrize("model_id", ['["m1"]', '{"m": 1}', "1"])
     def test_non_string_model_id_rejected(self, tmp_path, tiny_binary, model_id):
         p = write(tmp_path / "meta.json", f'[{{"model_id": {model_id}}}]')
-        with pytest.raises(MatrixValidationError, match="not present in matrix"):
+        with pytest.raises(MatrixValidationError, match="is not a string"):
             load_metadata(p, tiny_binary)
 
     @pytest.mark.parametrize("with_matrix", [False, True])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectradiag import (
@@ -21,7 +21,7 @@ from spectradiag import (
     significant_pcs,
     split_half_reliability,
 )
-from spectradiag.nulls import _leading_run, _parallel_analysis_null
+from spectradiag.nulls import _leading_run, _parallel_analysis_null, _variance_fractions
 from spectradiag.spectral import (
     CENTERING_SCHEMES,
     center,
@@ -87,7 +87,60 @@ class TestMpNull:
             assert abs(ed - mp_null_ed(t, n)) / mp_null_ed(t, n) < 0.10
 
 
+def permutation_null_rows_reference(m, replicates, seed):
+    """Row-axis band from its own loop: center once, then shuffle every row
+    of the centered grid under the (seed, r) stream into a reused buffer."""
+    values = center(m.dense_values())
+    shuffled = np.empty_like(values)
+    fractions = np.empty((replicates, min(values.shape)))
+    for r in range(replicates):
+        np.random.default_rng((seed, r)).permuted(values, axis=1, out=shuffled)
+        fractions[r] = _variance_fractions(shuffled)
+    return np.percentile(fractions, 95.0, axis=0)
+
+
+@st.composite
+def null_grids(draw):
+    """Binary or continuous grids, tall or wide, some rows or columns all equal."""
+    t, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random((t, n))
+    if draw(st.booleans()):
+        values = (values < 0.5).astype(float)
+    for i in draw(st.lists(st.integers(0, t - 1), max_size=t)):
+        values[i] = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        values[:, j] = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    return binary_from(values)
+
+
 class TestPermutationNull:
+    @settings(max_examples=60, deadline=None)
+    @given(null_grids(), st.integers(0, 2**16), st.integers(2, 6))
+    def test_row_axis_equals_loop_reference(self, m, seed, replicates):
+        got = permutation_null(m, replicates=replicates, seed=seed).band
+        want = permutation_null_rows_reference(m, replicates, seed)
+        assert got.tobytes() == want.tobytes()
+
+    def test_column_axis_all_equal_grid_is_zero(self):
+        m = binary_from(np.full((50, 20), 0.1))
+        band = permutation_null(m, replicates=5, seed=1, axis="columns").band
+        np.testing.assert_array_equal(band, np.zeros(20))
+
+    @settings(max_examples=60, deadline=None)
+    @given(null_grids(), st.integers(0, 2**16), st.integers(2, 6))
+    def test_column_axis_equals_axis0_loop_with_constant_rows_zeroed(self, m, seed, replicates):
+        values = m.dense_values()
+        fractions = []
+        for r in range(replicates):
+            shuffled = np.random.default_rng((seed, r)).permuted(values, axis=0)
+            xc = shuffled - shuffled.mean(axis=1, keepdims=True)
+            xc[shuffled.max(axis=1) == shuffled.min(axis=1)] = 0.0
+            fractions.append(_variance_fractions(xc))
+        want = np.percentile(fractions, 95.0, axis=0)
+        got = permutation_null(m, replicates=replicates, seed=seed, axis="columns").band
+        assert got.tobytes() == want.tobytes()
+
     def test_replicate_floor(self, noise_matrix):
         with pytest.raises(ValueError):
             permutation_null(noise_matrix, replicates=1)
@@ -453,3 +506,7 @@ class TestEdReport:
     def test_small_population_degenerate_ci(self, tiny_binary):
         rep = build_ed_report(tiny_binary, seed=0)
         assert rep.ci_low == rep.ed == rep.ci_high
+
+    def test_negative_bootstrap_iterations_rejected(self, tiny_binary):
+        with pytest.raises(ValueError, match="bootstrap iterations must be at least 0, got -5"):
+            build_ed_report(tiny_binary, seed=0, bootstrap_iterations=-5)
