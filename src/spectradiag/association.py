@@ -127,6 +127,26 @@ def _blocks(n: int, cells_per_row: int):
         yield slice(lo, min(lo + step, n))
 
 
+def _resamples(seed: int, iterations: int, n: int):
+    """Bootstrap index rows of n points, one array per :func:`_blocks` block
+    of n cells a row: row i is ``default_rng((seed, i)).integers(0, n, size=n)``,
+    a draw of n positions with replacement."""
+    for block in _blocks(iterations, n):
+        rngs = (np.random.default_rng((seed, i)) for i in range(iterations)[block])
+        yield np.array([g.integers(0, n, size=n) for g in rngs])
+
+
+def _percentile_interval(stats: np.ndarray) -> tuple[float, float]:
+    """95% percentile interval of bootstrap statistics, where NaN marks a
+    degenerate resample: those are dropped, and if none remains it raises."""
+    stats = stats[~np.isnan(stats)]
+    if not stats.size:
+        raise ValueError("every bootstrap resample was degenerate")
+    alpha = (1.0 - 0.95) / 2.0
+    low, high = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return float(low), float(high)
+
+
 def _run_starts(s: np.ndarray) -> np.ndarray:
     """Flags marking where each run of equal values starts in sorted rows."""
     new = np.ones(s.shape, dtype=bool)
@@ -336,35 +356,22 @@ def correlation_ci(
 ) -> tuple[float, float]:
     """95% percentile bootstrap interval for a pairwise correlation.
 
-    Resample ``i`` draws its indices from ``default_rng((seed, i))`` and is
-    skipped when either side is constant. The kept resamples of each of
-    :func:`_blocks` are scored in one ``_paired_corr`` call: O(R n) for
-    Pearson and O(R n log n) for Spearman and Kendall, R = ``iterations``,
-    in O(``_CELL_BUDGET``) memory per block.
+    Each block of :func:`_resamples` is scored in one ``_paired_corr`` call,
+    whose NaN for a constant side marks the resamples that
+    :func:`_percentile_interval` drops: O(R n) for Pearson and O(R n log n)
+    for Spearman and Kendall, R = ``iterations``, in O(``_CELL_BUDGET``)
+    memory per block. Non-finite ``x`` or ``y`` is rejected.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    n = x.size
-    stats = []
-    for block in _blocks(iterations, n):
-        idx = np.array(
-            [
-                np.random.default_rng((seed, i)).integers(0, n, size=n)
-                for i in range(iterations)[block]
-            ]
-        )
-        xs, ys = x[idx], y[idx]
-        live = ~(np.all(xs == xs[:, :1], axis=1) | np.all(ys == ys[:, :1], axis=1))
-        stats.extend(_paired_corr(xs[live], ys[live], method))
-    if not stats:
-        raise ValueError("all bootstrap resamples were degenerate")
-    alpha = (1.0 - 0.95) / 2.0
-    low, high = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
-    return float(low), float(high)
+    stats = [_paired_corr(x[idx], y[idx], method) for idx in _resamples(seed, iterations, x.size)]
+    return _percentile_interval(np.concatenate(stats))
 
 
 def partial_correlation(x, y, z, method: str = "spearman") -> float:

@@ -94,12 +94,13 @@ def _load_preprocessed(args) -> tuple:
     return m, steps
 
 
-def _read_series_csv(path: str, increasing: bool) -> tuple[np.ndarray, np.ndarray]:
+def _read_series_csv(path: str, trend: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read an ``x,<value>`` series: a header, then one numeric point per row.
 
     x is a value under the grid's cell rule, not a row id, so repeats are
-    allowed; with ``increasing`` the first x not above the one before it is
-    rejected at its line.
+    allowed. A ``trend`` series (``trend`` and ``workflow``) rejects the
+    first x not above the one before it at its line, and then a series of
+    fewer than four points, the least the Mann-Kendall test takes.
     """
     corner, x_texts, cols, values, missing, linenos = _read_csv_grid(path, "point", "column")
     header, _, bad = _parse_cells([corner, *cols])
@@ -118,7 +119,7 @@ def _read_series_csv(path: str, increasing: bool) -> tuple[np.ndarray, np.ndarra
         )
     if x.size < 2:
         raise MatrixValidationError(f"{path}: expected at least two points")
-    if increasing:
+    if trend:
         flat = np.flatnonzero(x[1:] <= x[:-1])
         if flat.size:
             i = int(flat[0]) + 1
@@ -126,6 +127,8 @@ def _read_series_csv(path: str, increasing: bool) -> tuple[np.ndarray, np.ndarra
                 f"{path}:{linenos[i]}: x must be strictly increasing, "
                 f"got {x_texts[i]!r} after {x_texts[i - 1]!r}"
             )
+        if x.size < 4:
+            raise MatrixValidationError(f"{path}: trend test needs at least four series points")
     return x, values[:, 0]
 
 
@@ -220,7 +223,7 @@ def cmd_compress(args) -> tuple[dict, dict, str]:
 
 
 def cmd_saturate(args) -> tuple[dict, dict, str]:
-    n, ed = _read_series_csv(args.points, increasing=False)
+    n, ed = _read_series_csv(args.points, trend=False)
     fit = saturation_fit(np.column_stack([n, ed]))
     result = {**asdict(fit), "points": int(n.size)}
     note = f"ED_inf {fit.ed_inf:.2f}, half-saturation at n {fit.n_half:.1f}"
@@ -228,9 +231,7 @@ def cmd_saturate(args) -> tuple[dict, dict, str]:
 
 
 def cmd_trend(args) -> tuple[dict, dict, str]:
-    x, ed = _read_series_csv(args.series, increasing=True)
-    if ed.size < 4:
-        raise MatrixValidationError("trend test needs at least four series points")
+    x, ed = _read_series_csv(args.series, trend=True)
     mk = mann_kendall(ed)
     tid = temporal_information_density(EdSeries(x=tuple(x), ed=tuple(ed)))
     result = {**asdict(mk), "tid_slope": tid, "points": int(x.size)}
@@ -313,7 +314,7 @@ def _workflow_step2(s, thresholds):
 
 
 def _workflow_step3(series_path, thresholds):
-    _, ed = _read_series_csv(series_path, increasing=True)
+    _, ed = _read_series_csv(series_path, trend=True)
     mk = mann_kendall(ed)
     declining = mk.tau < 0.0 and mk.p < thresholds["trend_alpha"]
     verdict = (
@@ -484,14 +485,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="task selection")
     matrix_args(p)
     p.add_argument("--method", choices=SELECTION_METHODS, default="ed_greedy")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     seeded(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("compress", help="random-subset compression curve")
     matrix_args(p)
     p.add_argument("--tau-target", type=float, default=0.95)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.add_argument("--csv", help="write fraction,mean_tau plot data here")
     seeded(p)
     p.set_defaults(func=cmd_compress)

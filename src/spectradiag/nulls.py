@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .association import _percentile_interval, _resamples
 from .matrix_io import ScoreMatrix
 from .spectral import (
     _column_resample_eds,
@@ -160,28 +161,20 @@ def bootstrap_ed_ci(
 ) -> tuple[float, float]:
     """95% percentile interval of ED under model-column resampling.
 
-    Degenerate resamples carry no spectrum and are skipped: under ``task``
-    those whose columns are all equal (every task row constant), under
-    ``double`` those whose columns all differ by constants, under ``model``
-    those whose columns are all constant and under ``none`` those whose
-    columns are all zero; :func:`spectral._column_resample_eds` owns that
-    rule and scores the rest from one QR factor of the centered
+    Resamples are the rows of :func:`association._resamples`. Degenerate ones
+    carry no spectrum and get NaN, which :func:`association._percentile_interval`
+    drops: under ``task`` those whose columns are all equal (every task row
+    constant), under ``double`` those whose columns all differ by constants,
+    under ``model`` those whose columns are all constant and under ``none``
+    those whose columns are all zero; :func:`spectral._column_resample_eds`
+    owns that rule and scores the rest from one QR factor of the centered
     grid, so R iterations cost O(T * N * min(T, N) + R * min(T, N)^2 * N)
     instead of a T x N copy and a Gram per resample.
     """
     if m.n_models < 5:
         raise ValueError("bootstrap needs at least five model columns")
-    resamples = [
-        np.random.default_rng((seed, i)).integers(0, m.n_models, size=m.n_models)
-        for i in range(iterations)
-    ]
-    eds = _column_resample_eds(m.dense_values(), resamples, scheme)
-    eds = eds[~np.isnan(eds)]
-    if not eds.size:
-        raise ValueError("every bootstrap resample was degenerate")
-    alpha = (1.0 - 0.95) / 2.0
-    low, high = np.percentile(eds, [100.0 * alpha, 100.0 * (1.0 - alpha)])
-    return float(low), float(high)
+    resamples = [idx for block in _resamples(seed, iterations, m.n_models) for idx in block]
+    return _percentile_interval(_column_resample_eds(m.dense_values(), resamples, scheme))
 
 
 def matched_dimension_ed(

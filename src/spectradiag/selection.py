@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _kendall_tau_b
+from .association import _blocks, _kendall_tau_b
 from .composite import _best_first
 from .matrix_io import ScoreMatrix, _id_positions, _positions
 from .spectral import center
@@ -138,6 +138,18 @@ def _selection_result(
     )
 
 
+def _tie_spread(values: np.ndarray) -> np.ndarray:
+    """Each row's variance over its sorted cells, the spread that orders
+    (variance desc, id asc) ties: rows holding the same scores in any order
+    get the same float, so column order never decides a tie. Sorted a
+    :func:`association._blocks` block at a time, so no sorted copy of the
+    grid is held."""
+    out = np.empty(len(values))
+    for block in _blocks(len(values), values.shape[1]):
+        out[block] = np.sort(values[block], axis=1).var(axis=1)
+    return out
+
+
 def _greedy_order(
     ev: _GramEvaluator, values: np.ndarray, task_ids, k: int
 ) -> tuple[list[int], list[float]]:
@@ -147,7 +159,7 @@ def _greedy_order(
         raise ValueError("all tasks are degenerate (zero variance)")
     # tie priority: position in the (variance desc, id asc) order
     priority = np.empty(n_tasks, dtype=np.intp)
-    priority[_best_first(values.var(axis=1), task_ids)] = np.arange(n_tasks)
+    priority[_best_first(_tie_spread(values), task_ids)] = np.arange(n_tasks)
     taken = np.zeros(n_tasks, dtype=bool)
     order: list[int] = []
     trajectory: list[float] = []
@@ -165,7 +177,8 @@ def _greedy_order(
 def ed_greedy(m: ScoreMatrix, k: int) -> SelectionResult:
     """Iteratively add the task with the largest marginal ED gain.
 
-    Deterministic: ED ties break by higher task variance, then by task id.
+    Deterministic: ED ties break by higher task variance (over the row's
+    sorted cells, :func:`_tie_spread`), then by task id.
     """
     values = m.dense_values()
     if not 1 <= k <= m.n_tasks:
@@ -347,7 +360,7 @@ def baseline_select(
         rng = np.random.default_rng(seed)
         order = rng.permutation(n_tasks)[:k].tolist()
     elif method == "max_variance":
-        order = _best_first(values.var(axis=1), m.task_ids)[:k].tolist()
+        order = _best_first(_tie_spread(values), m.task_ids)[:k].tolist()
     elif method == "irt_discrimination":
         order = _best_first(_discrimination(values), m.task_ids)[:k].tolist()
     elif method == "k_medoids":

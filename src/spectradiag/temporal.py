@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import _blocks, _dense_ranks, _inversions
+from .association import _blocks, _dense_ranks, _inversions, _percentile_interval
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _positions, _write_csv_grid
 from .spectral import _column_resample_eds, _gram, _gram_ed, _sums_ed, center
@@ -365,7 +365,8 @@ def cohort_bootstrap_compare(
     """Resample both cohorts, compare their suite EDs.
 
     ``p_direction`` is the fraction of iterations with ED(b) > ED(a);
-    Cohen's d is computed on the two bootstrap distributions. Iteration i
+    Cohen's d is computed on the two bootstrap distributions, and ``ci`` is
+    :func:`association._percentile_interval` of ED(b) - ED(a). Iteration i
     draws cohort a's resample, then cohort b's, from ``default_rng((seed, i))``;
     the iterations are drawn and scored by :func:`_cohort_eds` in
     ``_blocks`` of B iterations, whose positions and counts take
@@ -389,10 +390,9 @@ def cohort_bootstrap_compare(
     deltas = ed_b - ed_a
     pooled = math.sqrt((ed_a.var() + ed_b.var()) / 2.0)
     d = float(deltas.mean() / pooled) if pooled > 0.0 else 0.0
-    low, high = np.percentile(deltas, [2.5, 97.5])
     return CohortComparison(
         delta=float(deltas.mean()),
-        ci=(float(low), float(high)),
+        ci=_percentile_interval(deltas),
         cohens_d=d,
         p_direction=float((ed_b > ed_a).mean()),
         iterations=iterations,

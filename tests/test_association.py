@@ -394,7 +394,75 @@ def corr_ci_reference(x, y, iterations, statistic, level=0.95, seed=0):
     return float(low), float(high)
 
 
+def correlation_ci_block_reference(x, y, method, iterations, seed):
+    """The block loop with its own constancy mask: each block of resamples is
+    drawn in place, and only those whose sides are both non-constant are
+    scored."""
+    n = x.size
+    stats = []
+    for block in association._blocks(iterations, n):
+        idx = np.array(
+            [np.random.default_rng((seed, i)).integers(0, n, size=n) for i in range(iterations)[block]]
+        )
+        xs, ys = x[idx], y[idx]
+        live = ~(np.all(xs == xs[:, :1], axis=1) | np.all(ys == ys[:, :1], axis=1))
+        stats.extend(association._paired_corr(xs[live], ys[live], method))
+    if not stats:
+        raise ValueError("every bootstrap resample was degenerate")
+    alpha = (1.0 - 0.95) / 2.0
+    low, high = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return float(low), float(high)
+
+
+@st.composite
+def ci_pairs(draw):
+    """Paired vectors of 3-39 points, small-integer (1-4 levels, so many
+    resamples have a constant side) or continuous."""
+    n = draw(st.integers(3, 39))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 3, 4, None]))
+    if levels is None:
+        x, y = rng.standard_normal((2, n))
+    else:
+        x = rng.integers(0, levels, n).astype(float)
+        y = np.where(rng.random(n) < 0.5, x, rng.integers(0, levels, n))
+    return x, y
+
+
 class TestCorrelationCi:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ci_pairs(),
+        st.sampled_from(["pearson", "spearman", "kendall"]),
+        st.integers(1, 399),
+        st.integers(0, 2**16),
+    )
+    def test_equals_block_loop_with_constancy_mask(self, pair, method, iterations, seed):
+        x, y = pair
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(association, "_CELL_BUDGET", 7 * x.size)
+            try:
+                want = correlation_ci_block_reference(x, y, method, iterations, seed)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    correlation_ci(x, y, method, iterations=iterations, seed=seed)
+                return
+            assert correlation_ci(x, y, method, iterations=iterations, seed=seed) == want
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman", "kendall"])
+    def test_every_resample_degenerate(self, method):
+        x = np.arange(8.0)
+        with pytest.raises(ValueError, match="^every bootstrap resample was degenerate$"):
+            correlation_ci(x, np.full(8, 0.5), method, iterations=50, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_rejected(self, bad, side):
+        x, y = np.random.default_rng(1).standard_normal((2, 20))
+        (x if side == "x" else y)[3] = bad
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            correlation_ci(x, y, "pearson", iterations=200, seed=1)
+
     @pytest.mark.parametrize("n", [6, 60])
     def test_kendall_equals_per_resample_loop(self, monkeypatch, n):
         rng = np.random.default_rng(n)

@@ -255,11 +255,13 @@ class TestCountFlags:
              "--samples: must be at least 0, got -4"),
             (("ceiling", "--rho", "0.5", "--grid", "0"), "--grid: must be at least 1, got 0"),
             (("ceiling", "--rho", "0.5", "--grid", "-3"), "--grid: must be at least 1, got -3"),
+            (("select", "--k", "0"), "--k: must be at least 1, got 0"),
+            (("select", "--k", "-1"), "--k: must be at least 1, got -1"),
         ],
-        ids=["bootstrap-iters", "samples", "grid-0", "grid-negative"],
+        ids=["bootstrap-iters", "samples", "grid-0", "grid-negative", "k-0", "k-negative"],
     )
     def test_out_of_range_count_exit_2(self, capsys, toy_matrix, argv, flag):
-        if argv[0] == "ed":
+        if argv[0] in ("ed", "select"):
             argv = (*argv, "--matrix", toy_matrix)
         with pytest.raises(SystemExit) as exc:
             run(capsys, *argv)
@@ -444,6 +446,14 @@ class TestWorkflow:
         code, out, err = run(capsys, "workflow", "--ed-series", series)
         assert (code, out) == (2, "")
         assert "series.csv:4: x must be strictly increasing, got '2' after '3'" in err
+
+    @pytest.mark.parametrize("argv", [("trend", "--series"), ("workflow", "--ed-series")])
+    def test_short_series_exits_2_naming_the_file(self, capsys, tmp_path, argv):
+        series = tmp_path / "s3.csv"
+        series.write_text("x,ed\n1,3.0\n2,2.8\n3,2.5\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, series)
+        assert (code, out) == (2, "")
+        assert err == f"input error: {series}: trend test needs at least four series points\n"
 
     def test_full_run_flags_exactly_clone_pair(self, capsys, tmp_path):
         series = tmp_path / "series.csv"
@@ -692,10 +702,12 @@ class TestCompress:
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_no_trials_rejected(self, capsys, toy_matrix, trials):
-        code, out, err = run(capsys, "compress", "--matrix", toy_matrix, "--trials", trials)
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "compress", "--matrix", toy_matrix, "--trials", trials)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert f"analysis rejected: trials must be at least 1, got {trials}" in err
+        assert f"--trials: must be at least 1, got {trials}" in err
 
 
     def test_csv_reads_back_through_grid_reader(self, capsys, toy_matrix, tmp_path):

@@ -22,8 +22,10 @@ from spectradiag import (
     split_half_reliability,
 )
 from spectradiag.nulls import _leading_run, _parallel_analysis_null, _variance_fractions
+import spectradiag.association as association
 from spectradiag.spectral import (
     CENTERING_SCHEMES,
+    _column_resample_eds,
     center,
     pc1_fraction,
     principal_components,
@@ -59,6 +61,22 @@ def bootstrap_ed_ci_reference(m, iterations, seed, scheme, level=0.95):
     if not eds:
         raise ValueError("every bootstrap resample was degenerate")
     alpha = (1.0 - level) / 2.0
+    low, high = np.percentile(eds, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    return float(low), float(high)
+
+
+def bootstrap_ed_ci_list_reference(m, iterations, seed, scheme):
+    """One list of resamples drawn in place, scored by ``_column_resample_eds``;
+    NaN (degenerate) dropped before the percentiles."""
+    resamples = [
+        np.random.default_rng((seed, i)).integers(0, m.n_models, size=m.n_models)
+        for i in range(iterations)
+    ]
+    eds = _column_resample_eds(m.dense_values(), resamples, scheme)
+    eds = eds[~np.isnan(eds)]
+    if not eds.size:
+        raise ValueError("every bootstrap resample was degenerate")
+    alpha = (1.0 - 0.95) / 2.0
     low, high = np.percentile(eds, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(low), float(high)
 
@@ -212,6 +230,21 @@ class TestBootstrapCi:
             got = bootstrap_ed_ci(m, iterations=150, seed=3, scheme=scheme)
             want = bootstrap_ed_ci_reference(m, iterations=150, seed=3, scheme=scheme)
             assert got == pytest.approx(want, rel=1e-9), name
+
+    @pytest.mark.parametrize("scheme", CENTERING_SCHEMES)
+    def test_equals_list_loop_bitwise(self, monkeypatch, scheme):
+        rng = np.random.default_rng(4)
+        col = np.array([1.0, 0, 1, 0, 1, 1, 0])
+        grids = [
+            gen_irt_matrix(IrtSpec(k=3, tasks=300, models=40, seed=2)),
+            binary_from(rng.random((30, 12))),
+            binary_from(np.column_stack([col, col, col, col, 1 - col])),
+        ]
+        # a budget of 3 resamples a block, so a draw spans several blocks
+        monkeypatch.setattr(association, "_CELL_BUDGET", 3 * 40)
+        for m in grids:
+            want = bootstrap_ed_ci_list_reference(m, iterations=120, seed=6, scheme=scheme)
+            assert bootstrap_ed_ci(m, iterations=120, seed=6, scheme=scheme) == want
 
     @pytest.mark.parametrize("scheme", ["model", "double"])
     def test_constant_and_shifted_columns_skipped(self, scheme):

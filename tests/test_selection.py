@@ -155,9 +155,10 @@ def k_medoids_reference(values, k, seed, max_swaps=50):
 
 def ed_greedy_reference(m, k):
     """Full-sort greedy: every step lexsorts all remaining tasks by (ED desc,
-    variance desc, id asc) and deletes the pick. Returns (order, trajectory)."""
+    variance desc, id asc), the variance of each row's sorted cells, and
+    deletes the pick. Returns (order, trajectory)."""
     values = m.dense_values()
-    variances = values.var(axis=1)
+    variances = np.sort(values, axis=1).var(axis=1)
     ev = _GramEvaluator(values)
     id_rank = np.argsort(np.argsort(m.task_ids))
     remaining = np.arange(m.n_tasks)
@@ -193,7 +194,7 @@ def baseline_order_reference(m, k, method):
     values = m.dense_values()
     n_tasks = m.n_tasks
     if method == "max_variance":
-        variances = values.var(axis=1)
+        variances = np.sort(values, axis=1).var(axis=1)
         return sorted(range(n_tasks), key=lambda t: (-variances[t], m.task_ids[t]))[:k]
     if method == "irt_discrimination":
         disc = discrimination_reference(values)
@@ -407,6 +408,26 @@ class TestBaselines:
         m = score_matrix(list(rates), [f"m{j}" for j in range(n)], rows)
         res = baseline_select(m, 1, "max_variance")
         assert res.selected == ("t000",)
+
+    def test_equal_variance_ties_ignore_column_order(self):
+        m = gen_irt_matrix(IrtSpec(k=3, tasks=2000, models=100, seed=5))
+        values = m.dense_values()
+        passes = dict(zip(m.task_ids, values.sum(axis=1)))
+        picked = baseline_select(m, 40, "max_variance").selected
+        tied = [t for t in picked if passes[t] == 49]
+        assert len(tied) > 1 and tied == sorted(tied)
+        # Rows with c and 100 - c passes have equal variance but different
+        # cells, and ED-Greedy's candidate EDs can tie on them by rounding;
+        # keeping the tasks below 50 passes leaves only same-multiset ties.
+        m = m.subset_tasks([t for t in m.task_ids if passes[t] < 50])
+        values = m.dense_values()
+        rng = np.random.default_rng(1)
+        for method, k in (("max_variance", 40), ("two_stage", 20)):
+            want = baseline_select(m, k, method).selected
+            for _ in range(3):
+                perm = rng.permutation(m.n_models)
+                shuffled = score_matrix(m.task_ids, [m.model_ids[j] for j in perm], values[:, perm])
+                assert baseline_select(shuffled, k, method).selected == want, method
 
     def test_random_reproducible(self, pool):
         a = baseline_select(pool, 7, "random", seed=3)
