@@ -27,6 +27,7 @@ Only ``_block_rows`` divides it; every loop it bounds steps through
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -127,13 +128,27 @@ def _blocks(n: int, cells_per_row: int):
         yield slice(lo, min(lo + step, n))
 
 
+def _count(what: str, value: int, low: int = 1) -> int:
+    """``value``, or the one count error when it is below ``low``."""
+    if value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def _streams(seed: int, count: int, what: str, *key):
+    """Generators ``default_rng((seed, *key, i))`` for i < ``count``, checked by
+    ``_count(what, count)``: replicate i of every seeded loop draws from the i-th."""
+    return (np.random.default_rng((seed, *key, i)) for i in range(_count(what, count)))
+
+
 def _resamples(seed: int, iterations: int, n: int):
     """Bootstrap index rows of n points, one array per :func:`_blocks` block
-    of n cells a row: row i is ``default_rng((seed, i)).integers(0, n, size=n)``,
-    a draw of n positions with replacement."""
+    of n cells a row: row i is ``integers(0, n, size=n)`` from the i-th of
+    :func:`_streams`, a draw of n positions with replacement."""
+    rngs = _streams(seed, iterations, "iterations")
     for block in _blocks(iterations, n):
-        rngs = (np.random.default_rng((seed, i)) for i in range(iterations)[block])
-        yield np.array([g.integers(0, n, size=n) for g in rngs])
+        draws = itertools.islice(rngs, block.stop - block.start)
+        yield np.array([g.integers(0, n, size=n) for g in draws])
 
 
 def _percentile_interval(stats: np.ndarray) -> tuple[float, float]:
@@ -314,8 +329,7 @@ def pairwise_correlation(rows, ids=None, method: str = "spearman") -> CorrMatrix
     if table.ndim != 2:
         raise ValueError("expected a 2-D score table (series as rows)")
     p, n = table.shape
-    if n < 3:
-        raise ValueError("need at least three paired observations per series")
+    _count("paired observations", n, 3)
     if ids is None:
         ids = [f"series_{i}" for i in range(p)]
     ids = [str(i) for i in ids]
@@ -368,8 +382,7 @@ def correlation_ci(
         raise ValueError("x and y must be equal-length vectors")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite")
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    _count("paired observations", x.size, 3)
     stats = [_paired_corr(x[idx], y[idx], method) for idx in _resamples(seed, iterations, x.size)]
     return _percentile_interval(np.concatenate(stats))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _block_rows, _blocks, _kendall_tau_b
+from .association import _block_rows, _blocks, _count, _kendall_tau_b
 from .matrix_io import MatrixValidationError, _id_positions, _positions, _read_csv_grid
 from .spectral import _zscore_columns, ed_of_matrix
 
@@ -228,8 +228,7 @@ def ceiling_oracle(rho: float, grid: int = 10_001) -> CeilingProbe:
     """
     if not -1.0 < rho <= 1.0:
         raise ValueError("pairwise correlation must lie in (-1, 1]")
-    if grid < 1:
-        raise ValueError(f"grid must be at least 1, got {grid}")
+    _count("grid", grid)
     t = np.logspace(-3.0, 3.0, grid)
     denom = np.sqrt(1.0 + t * t + 2.0 * t * rho)
     r1 = (1.0 + t * rho) / denom
@@ -294,8 +293,7 @@ def dirichlet_fragility(
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _count("samples", samples)
     k = s.n_benchmarks
     z = _zscore_columns(s.table, s.benchmark_ids)
     by_id = _by_id(s.model_ids)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _percentile_interval, _resamples
+from .association import _count, _percentile_interval, _resamples, _streams
 from .matrix_io import ScoreMatrix
 from .spectral import (
     _column_resample_eds,
@@ -103,11 +103,11 @@ def _variance_fractions(xc: np.ndarray) -> np.ndarray:
 
 
 def _shuffled(rows: np.ndarray, seed: int, replicates: int):
-    """Yield ``rows`` with every row shuffled, replicate r under the
-    ``(seed, r)`` stream; each yield reuses one buffer, overwriting the last."""
+    """Yield ``rows`` with every row shuffled, replicate r by the r-th of
+    ``_streams``; each yield reuses one buffer, overwriting the last."""
     buf = np.empty_like(rows)
-    for r in range(replicates):
-        np.random.default_rng((seed, r)).permuted(rows, axis=1, out=buf)
+    for g in _streams(seed, replicates, "replicates"):
+        g.permuted(rows, axis=1, out=buf)
         yield buf
 
 
@@ -125,8 +125,7 @@ def permutation_null(
     equal ``permuted(values, axis=0)``'s), each replicate centered as a C-order
     T x N grid. A row shuffle keeps the task means, so that axis centers once.
     """
-    if replicates < 2:
-        raise ValueError("need at least two replicates")
+    _count("replicates", replicates, 2)
     if axis not in ("rows", "columns"):
         raise ValueError(f"axis must be 'rows' or 'columns', got {axis!r}")
     values = m.dense_values()
@@ -187,12 +186,12 @@ def matched_dimension_ed(
     """Mean/sd of ED over uniformly subsampled n_tasks x n_models grids."""
     if n_tasks > m.n_tasks or n_models > m.n_models:
         raise ValueError("requested dimensions exceed the available matrix")
+    rngs = _streams(seed, trials, "trials")
     values = m.dense_values()
     if n_tasks == m.n_tasks and n_models == m.n_models:
         return ed_of_matrix(values), 0.0
     eds = []
-    for i in range(trials):
-        rng = np.random.default_rng((seed, i))
+    for rng in rngs:
         rows = np.sort(rng.choice(m.n_tasks, size=n_tasks, replace=False))
         cols = np.sort(rng.choice(m.n_models, size=n_models, replace=False))
         eds.append(ed_of_matrix(values[np.ix_(rows, cols)]))
@@ -217,8 +216,7 @@ def split_half_reliability(
     half = m.n_models // 2
     k = min(k, half, m.n_tasks)
     sums = np.zeros(k)
-    for s in range(splits):
-        rng = np.random.default_rng((seed, s))
+    for rng in _streams(seed, splits, "splits"):
         perm = rng.permutation(m.n_models)
         load_a = principal_components(center(values[:, perm[:half]]), k).components
         load_b = principal_components(center(values[:, perm[half:]]), k).components
@@ -292,6 +290,7 @@ def alternative_estimators(
     parallel-analysis replicate shuffles every column of the standardized
     grid in one ``Generator.permuted`` call, through :func:`_shuffled`.
     """
+    _count("pa_replicates", pa_replicates)
     values = m.dense_values()
     eig = _model_correlation_eigenvalues(values)
     p = eig.size
@@ -329,8 +328,7 @@ def build_ed_report(
     columns are available or iterations is zero. ED and PC1% come from one
     Gram matrix of the centered grid, so ``ed`` is :func:`ed_of_matrix`'s.
     """
-    if bootstrap_iterations < 0:
-        raise ValueError(f"bootstrap iterations must be at least 0, got {bootstrap_iterations}")
+    _count("bootstrap iterations", bootstrap_iterations, 0)
     gram = _gram(center(m.dense_values(), scheme))
     ed = float(_gram_ed(gram))
     null = mp_null_ed(m.n_tasks, m.n_models)

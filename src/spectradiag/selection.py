@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _blocks, _kendall_tau_b
+from .association import _blocks, _count, _kendall_tau_b, _streams
 from .composite import _best_first
 from .matrix_io import ScoreMatrix, _id_positions, _positions
 from .spectral import center
@@ -413,8 +413,7 @@ def compression_curve(
     O(R (f T N + N log N)) for the mean retained fraction f, after one copy
     of the grid.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _count("trials", trials)
     bad = [frac for frac in fractions if not 0.0 < frac <= 1.0]
     if bad:
         raise ValueError(f"fractions must lie in (0, 1], got {bad[0]}")
@@ -426,8 +425,7 @@ def compression_curve(
     for fi, frac in enumerate(fractions):
         size = max(1, round(frac * n_tasks))
         sub_means = np.empty((trials, m.n_models))
-        for trial in range(trials):
-            rng = np.random.default_rng((seed, fi, trial))
+        for trial, rng in enumerate(_streams(seed, trials, "trials", fi)):
             rows = np.sort(rng.choice(n_tasks, size=size, replace=False))
             sub_means[trial] = values[rows].mean(axis=0)
         mean_tau = float(np.mean(_kendall_tau_b(sub_means, full_means)))
@@ -490,8 +488,7 @@ def submodularity_probe(
     xc = center(values, "task")
     gammas = []
     negative = 0
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
+    for rng in _streams(seed, samples, "samples"):
         small = rng.integers(2, max(3, n_tasks // 4) + 1)
         big = rng.integers(small + 1, min(2 * small, n_tasks - 1) + 1)
         perm = rng.permutation(n_tasks)

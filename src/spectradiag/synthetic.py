@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import _blocks, _paired_corr
+from .association import _blocks, _count, _paired_corr, _streams
 from .matrix_io import ScoreMatrix
 from .spectral import ed_of_matrix
 
@@ -146,16 +146,16 @@ def rank_recovery_report(
     seeds; overestimate ratios are mean ED divided by the true k.
     """
     ks = tuple(ks)
-    eds = np.empty((seeds, len(ks)))
+    eds = np.empty((_count("seeds", seeds), len(ks)))
     for ki, k in enumerate(ks):
-        for s in range(seeds):
+        for s, rng in enumerate(_streams(k, seeds, "seeds")):
             spec = IrtSpec(
                 k=k,
                 tasks=tasks,
                 models=models,
                 discrimination_scale=discrimination_scale,
                 difficulty_spread=difficulty_spread,
-                seed=int(np.random.default_rng((k, s)).integers(2**31)),
+                seed=int(rng.integers(2**31)),
             )
             eds[s, ki] = ed_of_matrix(gen_irt_matrix(spec).dense_values())
     per_seed = tuple(_paired_corr(eds, ks, "spearman").tolist())

@@ -25,12 +25,13 @@ ED is read from the scaled triangle, O(R * k^2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import _blocks, _dense_ranks, _inversions, _percentile_interval
+from .association import _blocks, _count, _dense_ranks, _inversions, _percentile_interval, _streams
 from .composite import SuiteScores
 from .matrix_io import ScoreMatrix, _positions, _write_csv_grid
 from .spectral import _column_resample_eds, _gram, _gram_ed, _sums_ed, center
@@ -270,15 +271,13 @@ def ed_vs_model_count(
 ) -> list[tuple[int, float, float]]:
     """Mean/sd ED over random model subsets of each size, all drawn first and
     then scored in one :func:`_subset_eds` call."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _count("trials", trials)
     subsets = []
     ends = []
     for ci, count in enumerate(counts):
         if not 2 <= count <= m.n_models:
             raise ValueError(f"count {count} outside [2, {m.n_models}]")
-        for trial in range(1 if count == m.n_models else trials):
-            rng = np.random.default_rng((seed, ci, trial))
+        for rng in _streams(seed, 1 if count == m.n_models else trials, "trials", ci):
             subsets.append(np.sort(rng.choice(m.n_models, size=count, replace=False)))
         ends.append((int(count), len(subsets)))
     parts = np.split(_subset_eds(m, subsets), [end for _, end in ends[:-1]])
@@ -367,7 +366,7 @@ def cohort_bootstrap_compare(
     ``p_direction`` is the fraction of iterations with ED(b) > ED(a);
     Cohen's d is computed on the two bootstrap distributions, and ``ci`` is
     :func:`association._percentile_interval` of ED(b) - ED(a). Iteration i
-    draws cohort a's resample, then cohort b's, from ``default_rng((seed, i))``;
+    draws cohort a's resample, then cohort b's, from the i-th of ``_streams``;
     the iterations are drawn and scored by :func:`_cohort_eds` in
     ``_blocks`` of B iterations, whose positions and counts take
     B * (S + n + k^2) cells. That is O(R * S + R * n * k^2)
@@ -380,11 +379,12 @@ def cohort_bootstrap_compare(
         raise ValueError("each cohort needs at least ten models")
     table_a, table_b = s.table[idx_a].T, s.table[idx_b].T
     cells = sample + max(len(idx_a), len(idx_b)) + s.n_benchmarks**2
+    streams = _streams(seed, iterations, "iterations")
     ed_a = np.empty(iterations)
     ed_b = np.empty(iterations)
     for block in _blocks(iterations, cells):
         # rng.choice(idx, size=sample) positions, cohort a's then b's per rng
-        rngs = [np.random.default_rng((seed, i)) for i in range(iterations)[block]]
+        rngs = list(itertools.islice(streams, block.stop - block.start))
         for eds, table, n in ((ed_a, table_a, len(idx_a)), (ed_b, table_b, len(idx_b))):
             eds[block] = _cohort_eds(table, np.array([g.integers(0, n, size=sample) for g in rngs]))
     deltas = ed_b - ed_a
@@ -409,13 +409,12 @@ def diversity_insertion_probe(
 ) -> float:
     """Fraction of trials where inserting one random early model into the late
     cohort increases ED."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    rngs = _streams(seed, trials, "trials")
     late = _positions(m._model_pos, late_ids, "model")
     early = _positions(m._model_pos, early_ids, "model")
     if not late or not early:
         raise ValueError("both cohorts must be nonempty")
-    picks = [int(np.random.default_rng((seed, i)).choice(early)) for i in range(trials)]
+    picks = [int(g.choice(early)) for g in rngs]
     eds = _subset_eds(m, [late] + [late + [pick] for pick in picks])
     return int((eds[1:] > eds[0]).sum()) / trials
 

@@ -463,6 +463,24 @@ class TestCorrelationCi:
         with pytest.raises(ValueError, match="x and y must be finite"):
             correlation_ci(x, y, "pearson", iterations=200, seed=1)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("method", ["pearson", "spearman", "kendall"])
+    def test_fewer_than_three_points_rejected(self, method, n):
+        x, y = np.random.default_rng(2).standard_normal((2, n))
+        wording = f"^paired observations must be at least 3, got {n}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=wording):
+                correlation_ci(x, y, method, iterations=50, seed=1)
+            with pytest.raises(ValueError, match=wording):
+                pairwise_correlation(np.vstack([x, y]), method=method)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman", "kendall"])
+    def test_three_points_give_an_interval(self, method):
+        x, y = np.array([0.1, 0.5, 0.3]), np.array([0.2, 0.9, 0.4])
+        low, high = correlation_ci(x, y, method, iterations=200, seed=1)
+        assert -1.0 <= low <= high <= 1.0
+
     @pytest.mark.parametrize("n", [6, 60])
     def test_kendall_equals_per_resample_loop(self, monkeypatch, n):
         rng = np.random.default_rng(n)
